@@ -22,7 +22,7 @@ from .ends import (
     perfectness_check,
     verify_ultrametric,
 )
-from .errors import InputError, NoBoundedMatching
+from .errors import ConstructionError, InputError, NoBoundedMatching
 from .filling import build_filling, make_space, nearest_center_map
 from .graph import Truncation
 from .jsonio import ExperimentConfig
@@ -439,7 +439,7 @@ def main(argv=None) -> int:
     except NoBoundedMatching as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InputError as exc:
+    except (InputError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

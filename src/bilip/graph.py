@@ -1,9 +1,12 @@
 """Finite bounded-degree graphs with the graph metric.
 
 Vertices are dense integers 0..n-1. Graphs are immutable after
-construction; all queries are pure reads, so they are safe to run
-concurrently. The per-source BFS row cache fills under a single-writer
-(GIL) / multi-reader contract.
+construction. Local queries (ball, sphere, boundary, and the Rips and
+growth helpers built on them) share one bounded BFS whose visited set is
+local to the call, so each costs O(|ball| * mu) rather than O(n) and is
+a pure read, safe to run concurrently. Only the per-source BFS row cache
+behind bfs_row and distance mutates state; it fills under a
+single-writer (GIL) / multi-reader contract.
 """
 
 from __future__ import annotations
@@ -126,20 +129,47 @@ class UdbgGraph:
 
     # -- metric ----------------------------------------------------------
 
-    def _bfs(self, source: int, cutoff: Optional[int] = None) -> list[int]:
+    def _bfs(self, source: int) -> list[int]:
         dist = [UNREACHED] * len(self._adj)
         dist[source] = 0
         q = deque([source])
         while q:
             v = q.popleft()
             d = dist[v]
-            if cutoff is not None and d >= cutoff:
-                continue
             for u in self._adj[v]:
                 if dist[u] == UNREACHED:
                     dist[u] = d + 1
                     q.append(u)
         return dist
+
+    def _layers(self, sources: Iterable[int], r: int) -> tuple[set[int], list[list[int]]]:
+        """Bounded BFS from validated sources out to distance r.
+
+        Returns (ball, layers): layers[d] holds the vertices at distance
+        exactly d (layers[0] the distinct sources), stopping early at the
+        first empty layer, and ball is their union. Work is
+        O(|ball| * mu); all state is local to the call.
+        """
+        ball: set[int] = set()
+        frontier = []
+        for s in sources:
+            if s not in ball:
+                ball.add(s)
+                frontier.append(s)
+        layers = [frontier]
+        adj = self._adj
+        for _ in range(r):
+            nxt = []
+            for v in frontier:
+                for u in adj[v]:
+                    if u not in ball:
+                        ball.add(u)
+                        nxt.append(u)
+            if not nxt:
+                break
+            layers.append(nxt)
+            frontier = nxt
+        return ball, layers
 
     def bfs_row(self, source: int) -> list[int]:
         """Distances from source to every vertex, cached per source."""
@@ -210,16 +240,15 @@ class UdbgGraph:
         self.check_vertex(v)
         if r < 0:
             raise InputError("radius must be nonnegative")
-        dist = self._bfs(v, cutoff=r)
-        return {u for u, d in enumerate(dist) if d != UNREACHED}
+        return self._layers((v,), r)[0]
 
     def sphere(self, v0: int, t: int) -> set[int]:
         """Metric sphere {u : d(u, v0) = t}."""
         self.check_vertex(v0)
         if t < 0:
             raise InputError("radius must be nonnegative")
-        dist = self._bfs(v0, cutoff=t)
-        return {u for u, d in enumerate(dist) if d == t}
+        layers = self._layers((v0,), t)[1]
+        return set(layers[t]) if t < len(layers) else set()
 
     def distances_from_set(self, sources: Iterable[int]) -> list[int]:
         """Multi-source BFS row: d(v, sources) for every v."""
@@ -249,27 +278,11 @@ class UdbgGraph:
         if r < 1:
             raise InputError("boundary radius must be positive")
         inside = set(vertex_set)
-        if not inside:
-            return set()
-        dist = [UNREACHED] * len(self._adj)
-        q = deque()
         for s in inside:
             self.check_vertex(s)
-            dist[s] = 0
-            q.append(s)
-        out = set()
-        while q:
-            v = q.popleft()
-            d = dist[v]
-            if d >= r:
-                continue
-            for u in self._adj[v]:
-                if dist[u] == UNREACHED:
-                    dist[u] = d + 1
-                    q.append(u)
-                    if u not in inside:
-                        out.add(u)
-        return out
+        ball = self._layers(inside, r)[0]
+        ball -= inside
+        return ball
 
 
 def rips_scale_graph(g: UdbgGraph, r: int) -> UdbgGraph:
@@ -282,8 +295,9 @@ def rips_scale_graph(g: UdbgGraph, r: int) -> UdbgGraph:
         raise InputError("scale must be at least 1")
     adjacency = []
     for v in g.vertices():
-        dist = g._bfs(v, cutoff=r)
-        adjacency.append([u for u, d in enumerate(dist) if d != UNREACHED and u != v])
+        ball = g._layers((v,), r)[0]
+        ball.discard(v)
+        adjacency.append(ball)
     return UdbgGraph(
         adjacency,
         root=g.root,
@@ -300,14 +314,11 @@ def geometry_profile(g: UdbgGraph, r_max: int) -> list[int]:
     def worst_in(chunk):
         best = [0] * r_max
         for v in chunk:
-            dist = g._bfs(v, cutoff=r_max)
-            counts = [0] * (r_max + 1)
-            for d in dist:
-                if d != UNREACHED:
-                    counts[d] += 1
-            total = counts[0]
+            layers = g._layers((v,), r_max)[1]
+            total = 1
             for r in range(1, r_max + 1):
-                total += counts[r]
+                if r < len(layers):
+                    total += len(layers[r])
                 if total > best[r - 1]:
                     best[r - 1] = total
         return best

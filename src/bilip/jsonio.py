@@ -82,14 +82,20 @@ def graph_to_dict(g: UdbgGraph, meta: Optional[dict] = None) -> dict:
     return out
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_dict(d: dict) -> tuple[UdbgGraph, dict]:
     if not isinstance(d, dict) or "vertices" not in d or "edges" not in d:
         raise InputError("graph JSON needs 'vertices' and 'edges'")
+    if not isinstance(d["vertices"], list) or not isinstance(d["edges"], list):
+        raise InputError("graph JSON 'vertices' and 'edges' must be lists")
     ids = []
     levels = []
     has_levels = None
     for entry in d["vertices"]:
-        if not isinstance(entry, dict) or "id" not in entry:
+        if not isinstance(entry, dict) or not _is_int(entry.get("id")):
             raise InputError(f"bad vertex entry {entry!r}")
         ids.append(entry["id"])
         here = "level" in entry
@@ -98,6 +104,8 @@ def graph_from_dict(d: dict) -> tuple[UdbgGraph, dict]:
         elif has_levels != here:
             raise InputError("either all vertices carry a level or none do")
         if here:
+            if not _is_int(entry["level"]):
+                raise InputError(f"level of vertex {entry['id']} must be an integer")
             levels.append(entry["level"])
     n = len(ids)
     if sorted(ids) != list(range(n)):
@@ -109,8 +117,10 @@ def graph_from_dict(d: dict) -> tuple[UdbgGraph, dict]:
         if not isinstance(edge, list) or len(edge) != 2:
             raise InputError(f"bad edge entry {edge!r}")
         u, v = edge
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (_is_int(u) and _is_int(v)):
             raise InputError(f"bad edge entry {edge!r}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"edge {edge!r} has an endpoint outside 0..{n - 1}")
         adjacency[u].append(v)
         adjacency[v].append(u)
     root = d.get("root")

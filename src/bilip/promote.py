@@ -232,11 +232,13 @@ def _push_unmatched_toward_sphere(g_y, match_x, match_y, radj, from_sphere, max_
 
     Each flip frees a vertex strictly closer to the truncation sphere in
     exchange for covering a deeper one; the total interior depth of the
-    unmatched set strictly decreases, so this terminates.
+    unmatched set strictly decreases, so this terminates. Unmatched
+    vertices already on the sphere (depth 0) are not searched from: no
+    vertex is strictly shallower, so their search could never flip.
     """
     for _ in range(max_sweeps):
         unmatched = sorted(
-            (y for y in g_y.vertices() if y not in match_y and y in radj),
+            (y for y in g_y.vertices() if y not in match_y and y in radj and from_sphere[y] > 0),
             key=lambda y: (-from_sphere[y], y),
         )
         improved = False

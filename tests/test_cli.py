@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from bilip.cli import main
@@ -191,3 +192,43 @@ def test_reruns_are_byte_identical(tmp_path):
                    "--rmax", "1", "--out", str(m)) == 0
         outputs.append((t.read_bytes(), m.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_malformed_graph_json_is_input_error(tmp_path, capsys):
+    bad_edge = {"vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 5]]}
+    bad_level = {"vertices": [{"id": 0, "level": 0}, {"id": 1, "level": "1"}],
+                 "edges": [[0, 1]], "root": 0}
+    for name, graph, message in (
+        ("edge.json", bad_edge, "outside 0..1"),
+        ("level.json", bad_level, "must be an integer"),
+    ):
+        path = tmp_path / name
+        path.write_text(json.dumps(graph))
+        assert run("cheeger", "--graph", str(path), "--collar", "0") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+
+def test_construction_budget_error_exit_code(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    assert run("gen-tree", "--kind", "kary", "--k", "3", "--depth", "30", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: vertex budget exceeded")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_promote_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    # 3-ary d6 -> 4-ary d5 leaves 475 unmatched targets on the truncation
+    # sphere and 7 one level in, so the confinement sweep's pruning of
+    # depth-0 targets is exercised; relative paths keep the embedded
+    # config independent of the test directory.
+    monkeypatch.chdir(tmp_path)
+    assert run("gen-tree", "--kind", "kary", "--k", "3", "--depth", "6", "--out", "x.json") == 0
+    assert run("gen-tree", "--kind", "kary", "--k", "4", "--depth", "5", "--out", "y.json") == 0
+    assert run("promote", "--from", "x.json", "--to", "y.json", "--map", "ends",
+               "--collar", "2", "--seed", "0", "--out", "p.json") == 0
+    digest = hashlib.sha256((tmp_path / "p.json").read_bytes()).hexdigest()
+    assert digest == "245d359027bf5c538db784c8cd687d0a702073a48c0d372ffe8f65094196436d"
+    capsys.readouterr()

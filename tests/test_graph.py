@@ -154,3 +154,61 @@ def test_truncation_sphere_must_match_levels():
         Truncation(graph=g, depth=3, trunc_sphere=frozenset({0}), collar_width=0)
     with pytest.raises(InputError):
         Truncation(graph=g, depth=3, trunc_sphere=frozenset(), collar_width=0)
+
+
+def random_connected_graph(rng, n, mu):
+    """Random spanning tree plus extra edges, every degree at most mu."""
+    adj = [set() for _ in range(n)]
+    for v in range(1, n):
+        u = rng.choice([u for u in range(v) if len(adj[u]) < mu])
+        adj[u].add(v)
+        adj[v].add(u)
+    for _ in range(n):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v and len(adj[u]) < mu and len(adj[v]) < mu:
+            adj[u].add(v)
+            adj[v].add(u)
+    return UdbgGraph(adj, mu=mu)
+
+
+def kernel_instances():
+    rng = random.Random(11)
+    graphs = [random_connected_graph(rng, rng.randint(2, 40), rng.randint(2, 4)) for _ in range(30)]
+    graphs.append(graft_dead_ends(gen_kary(2, 4), 2, seed=5).graph)  # rooted tree, levels
+    return rng, graphs
+
+
+def test_bounded_queries_match_full_rows():
+    rng, graphs = kernel_instances()
+    for g in graphs:
+        rows = [g.bfs_row(v) for v in g.vertices()]
+        diameter = max(max(row) for row in rows)
+        for r in range(diameter + 2):
+            for v in g.vertices():
+                row = rows[v]
+                assert g.ball(v, r) == {u for u in g.vertices() if row[u] <= r}
+                assert g.sphere(v, r) == {u for u in g.vertices() if row[u] == r}
+            sources = {rng.randrange(g.n) for _ in range(rng.randint(1, 5))}
+            if r >= 1:
+                dist = g.distances_from_set(sources)
+                expected = {u for u in g.vertices() if 1 <= dist[u] <= r}
+                assert g.boundary(sources, r) == expected
+
+
+def test_rips_and_profile_match_full_rows():
+    _, graphs = kernel_instances()
+    for g in graphs:
+        rows = [g.bfs_row(v) for v in g.vertices()]
+        diameter = max(max(row) for row in rows)
+        r_max = diameter + 1
+        expected_profile = [
+            max(sum(1 for d in row if d <= r) for row in rows) for r in range(1, r_max + 1)
+        ]
+        assert geometry_profile(g, r_max) == expected_profile
+        for r in range(1, r_max + 1):
+            rips = rips_scale_graph(g, r)
+            for v in g.vertices():
+                expected = tuple(u for u in g.vertices() if 0 < rows[v][u] <= r)
+                assert rips.neighbors(v) == expected
+            assert rips.root == g.root
+            assert rips.levels == (g.levels if r == 1 else None)

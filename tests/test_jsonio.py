@@ -44,6 +44,18 @@ def test_graph_from_dict_validation():
         )
     with pytest.raises(InputError):
         jsonio.graph_from_dict({"vertices": [{"id": 0}, {"id": 1}], "edges": [[0]]})
+    two = [{"id": 0}, {"id": 1}]
+    for bad in (
+        {"vertices": two, "edges": [[0, 5]]},
+        {"vertices": two, "edges": [[-1, 1]]},
+        {"vertices": two, "edges": [[0, True]]},
+        {"vertices": [{"id": 0}, {"id": "a"}], "edges": [[0, 1]]},
+        {"vertices": [{"id": 0, "level": 0}, {"id": 1, "level": 0.5}], "edges": [[0, 1]]},
+        {"vertices": 2, "edges": [[0, 1]]},
+        {"vertices": two, "edges": 0},
+    ):
+        with pytest.raises(InputError):
+            jsonio.graph_from_dict(bad)
 
 
 def test_tree_round_trip_with_parent_meta():
