@@ -23,6 +23,12 @@ FAMILY_NAMES = ("balls", "level-bands", "descendant-subtrees", "random-connected
 
 EXACT_INTERIOR_LIMIT = 24
 
+# family_sets caps: ball centers sampled, random connected sets grown,
+# and the largest size one may reach
+BALL_CENTERS = 64
+RC_COUNT = 40
+RC_SIZE = 200
+
 
 @dataclass(frozen=True)
 class CheegerCertificate:
@@ -43,11 +49,6 @@ class CheegerCertificate:
             "family_description": self.family_description,
             "collar": self.collar,
         }
-
-
-def interior_of_truncation(t: Truncation, w: int) -> frozenset[int]:
-    """Vertices at distance > w from the truncation sphere (errors if empty)."""
-    return t.interior(w)
 
 
 def _ratio_key(g, vertex_set):
@@ -100,15 +101,7 @@ def cheeger_exact(t: Truncation, w: int, max_size: Optional[int] = None) -> Chee
     )
 
 
-def family_sets(
-    t: Truncation,
-    w: int,
-    families: Iterable[str],
-    seed: int,
-    ball_centers: int = 64,
-    rc_count: int = 40,
-    rc_size: int = 200,
-) -> list[frozenset[int]]:
+def family_sets(t: Truncation, w: int, families: Iterable[str], seed: int) -> list[frozenset[int]]:
     """Deterministic candidate sets inside the interior, deduplicated.
 
     Both the Cheeger estimate and the chain criterion iterate this exact
@@ -139,9 +132,9 @@ def family_sets(
             if g.root is not None and g.root in interior:
                 centers.remove(g.root)
                 centers.insert(0, g.root)
-            if len(centers) > ball_centers:
+            if len(centers) > BALL_CENTERS:
                 head = centers[:1]
-                tail = rng.sample(centers[1:], ball_centers - 1)
+                tail = rng.sample(centers[1:], BALL_CENTERS - 1)
                 centers = head + sorted(tail)
             for c in centers:
                 radius = 0
@@ -175,8 +168,8 @@ def family_sets(
                     stack.extend(children[u])
                 push(u for u in sub if u in interior)
         elif name == "random-connected":
-            for _ in range(rc_count):
-                target = rng.randint(1, min(rc_size, len(interior)))
+            for _ in range(RC_COUNT):
+                target = rng.randint(1, min(RC_SIZE, len(interior)))
                 start = rng.choice(interior_sorted)
                 grown = {start}
                 frontier = [start]
@@ -194,19 +187,13 @@ def family_sets(
     return sets
 
 
-def cheeger_family(
-    t: Truncation,
-    w: int,
-    families: Iterable[str],
-    seed: int,
-    **caps,
-) -> CheegerCertificate:
+def cheeger_family(t: Truncation, w: int, families: Iterable[str], seed: int) -> CheegerCertificate:
     """Upper estimate of the isoperimetric constant over generated families."""
     families = list(families)
     g = t.graph
     best_key = None
     best = None
-    for vertex_set in family_sets(t, w, families, seed, **caps):
+    for vertex_set in family_sets(t, w, families, seed):
         ratio, key = _ratio_key(g, vertex_set)
         if best_key is None or key < best_key:
             best_key = key

@@ -62,7 +62,7 @@ def _load_tree(path):
     return jsonio.tree_from_graph(g), meta
 
 
-def _build_map(strategy, path_x, path_y, seed):
+def _build_map(strategy, path_x, path_y):
     raw_x = jsonio.load_json(path_x)
     raw_y = jsonio.load_json(path_y)
     g_x, meta_x = jsonio.graph_from_dict(raw_x)
@@ -85,7 +85,7 @@ def _build_map(strategy, path_x, path_y, seed):
     elif strategy == "ends":
         t_x = jsonio.tree_from_graph(g_x)
         t_y = jsonio.tree_from_graph(g_y)
-        mapping = tree_vertex_map(t_x, t_y, seed=seed).mapping
+        mapping = tree_vertex_map(t_x, t_y).mapping
     else:
         mapping = jsonio.vertex_map_from_dict(jsonio.load_json(strategy))
         for x, y in mapping.items():
@@ -154,7 +154,7 @@ def cmd_fill(args) -> int:
 
 def cmd_cheeger(args) -> int:
     g, _meta = jsonio.graph_from_dict(jsonio.load_json(args.graph))
-    trunc = Truncation.from_graph(g, collar_width=args.collar)
+    trunc = Truncation.from_graph(g)
     if args.exact_max is not None:
         cert = cheeger_exact(trunc, args.collar, max_size=args.exact_max)
     else:
@@ -219,7 +219,7 @@ def cmd_ends(args) -> int:
 def cmd_qi(args) -> int:
     tree_x, _ = _load_tree(getattr(args, "from"))
     tree_y, _ = _load_tree(args.to)
-    vm = tree_vertex_map(tree_x, tree_y, seed=args.seed)
+    vm = tree_vertex_map(tree_x, tree_y)
     mode = "exact" if max(tree_x.n, tree_y.n) <= 400 else "sampled"
     constants = qi_constants(
         vm, tree_x.graph, tree_y.graph, mode=mode, seed=args.seed, samples=args.samples
@@ -238,11 +238,9 @@ def cmd_qi(args) -> int:
 
 
 def cmd_promote(args) -> int:
-    mapping, g_x, g_y, strategy = _build_map(
-        args.map, getattr(args, "from"), args.to, args.seed
-    )
-    t_x = Truncation.from_graph(g_x, collar_width=args.collar)
-    t_y = Truncation.from_graph(g_y, collar_width=args.collar)
+    mapping, g_x, g_y, strategy = _build_map(args.map, getattr(args, "from"), args.to)
+    t_x = Truncation.from_graph(g_x)
+    t_y = Truncation.from_graph(g_y)
     params = {
         "from": str(getattr(args, "from")),
         "to": str(args.to),
@@ -287,11 +285,9 @@ def cmd_promote(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    mapping, g_x, g_y, strategy = _build_map(
-        args.map, getattr(args, "from"), args.to, args.seed
-    )
-    t_x = Truncation.from_graph(g_x, collar_width=args.collar)
-    t_y = Truncation.from_graph(g_y, collar_width=args.collar)
+    mapping, g_x, g_y, strategy = _build_map(args.map, getattr(args, "from"), args.to)
+    t_x = Truncation.from_graph(g_x)
+    t_y = Truncation.from_graph(g_y)
     check, details = verify_promotion_consistency(
         mapping, t_x, t_y, args.collar, _families(args.families), args.seed
     )

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InputError
-from .parallel import map_chunks
 from .trees import CheckResult, RootedTree, core_vertices
 
 
@@ -186,15 +185,6 @@ def enumerate_ends(t: RootedTree) -> EndSpace:
     )
 
 
-def end_distance(es: EndSpace, i: int, j: int) -> int:
-    """The agreement depth m; all metric comparisons are reversed on m.
-
-    The distance e^{-m} is never materialized: larger m means closer,
-    m == depth is the identity (distance zero).
-    """
-    return es.product(i, j)
-
-
 # -- metric checks ---------------------------------------------------------
 
 
@@ -217,26 +207,16 @@ def verify_ultrametric(
     exhaustive = mode == "exhaustive" or (mode == "auto" and n <= 200)
     if exhaustive:
         table = es.table()
-
-        def scan(istart_iend):
-            istart, iend = istart_iend
-            for i in range(istart, iend):
-                row_i = table[i]
-                for j in range(i + 1, n):
-                    row_j = table[j]
-                    m_ij = row_i[j]
-                    for k in range(j + 1, n):
-                        a, b, c = m_ij, row_j[k], row_i[k]
-                        lo = min(a, b, c)
-                        if (a == lo) + (b == lo) + (c == lo) < 2:
-                            return (i, j, k)
-            return None
-
-        step = max(1, n // 8)
-        bounds = [(i, min(i + step, n)) for i in range(0, n, step)]
-        for found in map_chunks(scan, bounds):
-            if found is not None:
-                return CheckResult(False, witness=found)
+        for i in range(n):
+            row_i = table[i]
+            for j in range(i + 1, n):
+                row_j = table[j]
+                m_ij = row_i[j]
+                for k in range(j + 1, n):
+                    a, b, c = m_ij, row_j[k], row_i[k]
+                    lo = min(a, b, c)
+                    if (a == lo) + (b == lo) + (c == lo) < 2:
+                        return CheckResult(False, witness=(i, j, k))
         return CheckResult(True)
     rng = random.Random(seed)
     for _ in range(samples):
@@ -252,6 +232,20 @@ def verify_ultrametric(
     return CheckResult(True)
 
 
+def split_at_minimum(adjacent, lo: int, hi: int) -> tuple[int, list[tuple[int, int]]]:
+    """Minimum agreement m over rays lo..hi-1 (hi - lo >= 2) and the child
+    sub-balls it cuts them into, as half-open intervals in planar order."""
+    m = min(adjacent[lo : hi - 1])
+    parts = []
+    start = lo
+    for cut in range(lo, hi - 1):
+        if adjacent[cut] == m:
+            parts.append((start, cut + 1))
+            start = cut + 1
+    parts.append((start, hi))
+    return m, parts
+
+
 def _hierarchy(adjacent, n):
     """Nested agreement balls as (lo, hi, level, parent_level) intervals.
 
@@ -265,14 +259,9 @@ def _hierarchy(adjacent, n):
         if hi - lo == 1:
             nodes.append((lo, hi, None, parent_level))
             continue
-        m = min(adjacent[lo : hi - 1])
+        m, parts = split_at_minimum(adjacent, lo, hi)
         nodes.append((lo, hi, m, parent_level))
-        start = lo
-        for cut in range(lo, hi - 1):
-            if adjacent[cut] == m:
-                stack.append((start, cut + 1, m))
-                start = cut + 1
-        stack.append((start, hi, m))
+        stack.extend((a, b, m) for a, b in parts)
     return nodes
 
 

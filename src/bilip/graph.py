@@ -3,10 +3,8 @@
 Vertices are dense integers 0..n-1. Graphs are immutable after
 construction. Local queries (ball, sphere, boundary, and the Rips and
 growth helpers built on them) share one bounded BFS whose visited set is
-local to the call, so each costs O(|ball| * mu) rather than O(n) and is
-a pure read, safe to run concurrently. Only the per-source BFS row cache
-behind bfs_row and distance mutates state; it fills under a
-single-writer (GIL) / multi-reader contract.
+local to the call, so each costs O(|ball| * mu) rather than O(n). Full
+distance rows behind bfs_row and distance are cached per source.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
-from .parallel import map_chunks
 
 UNREACHED = -1
 
@@ -311,22 +308,16 @@ def geometry_profile(g: UdbgGraph, r_max: int) -> list[int]:
     if r_max < 1:
         raise InputError("r_max must be at least 1")
 
-    def worst_in(chunk):
-        best = [0] * r_max
-        for v in chunk:
-            layers = g._layers((v,), r_max)[1]
-            total = 1
-            for r in range(1, r_max + 1):
-                if r < len(layers):
-                    total += len(layers[r])
-                if total > best[r - 1]:
-                    best[r - 1] = total
-        return best
-
-    verts = list(g.vertices())
-    step = max(1, len(verts) // max(1, min(len(verts), 8)))
-    results = map_chunks(worst_in, [verts[i : i + step] for i in range(0, len(verts), step)])
-    return [max(col) for col in zip(*results)]
+    best = [0] * r_max
+    for v in g.vertices():
+        layers = g._layers((v,), r_max)[1]
+        total = 1
+        for r in range(1, r_max + 1):
+            if r < len(layers):
+                total += len(layers[r])
+            if total > best[r - 1]:
+                best[r - 1] = total
+    return best
 
 
 @dataclass(frozen=True)
@@ -340,21 +331,18 @@ class Truncation:
     graph: UdbgGraph
     depth: int
     trunc_sphere: frozenset[int] = field(repr=False)
-    collar_width: int = 0
 
     @classmethod
-    def from_graph(cls, g: UdbgGraph, collar_width: int = 0) -> "Truncation":
+    def from_graph(cls, g: UdbgGraph) -> "Truncation":
         if g.levels is None:
             raise InputError("truncation requires level labels")
         depth = max(g.levels)
         sphere = frozenset(v for v in g.vertices() if g.levels[v] == depth)
-        return cls(graph=g, depth=depth, trunc_sphere=sphere, collar_width=collar_width)
+        return cls(graph=g, depth=depth, trunc_sphere=sphere)
 
     def __post_init__(self):
         if not self.trunc_sphere:
             raise InputError("truncation sphere is empty")
-        if self.collar_width < 0:
-            raise InputError("collar width must be nonnegative")
         levels = self.graph.levels
         if levels is not None:
             expected = frozenset(v for v in self.graph.vertices() if levels[v] == self.depth)

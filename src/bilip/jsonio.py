@@ -24,7 +24,6 @@ from .graph import UdbgGraph
 from .trees import RootedTree
 
 CONFIG_KEYS = {"name", "seed", "output_dir", "stages"}
-PIPELINE_STAGES = ("generate", "analyze", "promote", "verify")
 
 
 def rational(value: Union[Fraction, int]) -> dict:
@@ -34,14 +33,18 @@ def rational(value: Union[Fraction, int]) -> dict:
 
 def parse_rational(obj) -> Fraction:
     if isinstance(obj, dict):
-        extra = set(obj) - {"num", "den"}
-        if extra or "num" not in obj or "den" not in obj:
+        if set(obj) != {"num", "den"} or not (_is_int(obj["num"]) and _is_int(obj["den"])):
             raise InputError(f"bad rational object {obj!r}")
+        if obj["den"] == 0:
+            raise InputError(f"zero denominator in {obj!r}")
         return Fraction(obj["num"], obj["den"])
-    if isinstance(obj, int):
+    if _is_int(obj):
         return Fraction(obj)
     if isinstance(obj, str):
-        return Fraction(obj)
+        try:
+            return Fraction(obj)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad rational value {obj!r}") from exc
     raise InputError(f"bad rational value {obj!r}")
 
 
@@ -123,9 +126,14 @@ def graph_from_dict(d: dict) -> tuple[UdbgGraph, dict]:
             raise InputError(f"edge {edge!r} has an endpoint outside 0..{n - 1}")
         adjacency[u].append(v)
         adjacency[v].append(u)
+    meta = d.get("meta", {})
+    if not isinstance(meta, dict):
+        raise InputError("graph JSON 'meta' must be an object")
     root = d.get("root")
+    if root is not None and not _is_int(root):
+        raise InputError(f"bad root {root!r}")
     g = UdbgGraph(adjacency, root=root, levels=level_by_id)
-    return g, d.get("meta", {})
+    return g, meta
 
 
 def tree_to_dict(t: RootedTree, meta: Optional[dict] = None) -> dict:
@@ -163,6 +171,10 @@ def filling_from_dict(d: dict) -> Filling:
     needed = {"space", "resolution", "scale", "tau", "seed", "centers"}
     if not needed <= set(meta):
         raise InputError("filling JSON lacks center metadata")
+    if not _is_int(meta["resolution"]):
+        raise InputError("filling JSON 'resolution' must be an integer")
+    if not isinstance(meta["centers"], list) or len(meta["centers"]) != g.n:
+        raise InputError("filling JSON needs a list of one center per vertex")
     space = make_space(meta["space"], meta["resolution"])
     index_of = {p: i for i, p in enumerate(space.points)}
     centers = []
@@ -186,14 +198,17 @@ def vertex_map_to_dict(mapping: dict, meta: Optional[dict] = None) -> dict:
 
 
 def vertex_map_from_dict(d: dict) -> dict[int, int]:
-    if not isinstance(d, dict) or "map" not in d:
-        raise InputError("map JSON needs a 'map' table")
+    if not isinstance(d, dict) or not isinstance(d.get("map"), dict):
+        raise InputError("map JSON needs a 'map' object")
     out = {}
     for k, v in d["map"].items():
         try:
-            out[int(k)] = int(v)
+            x = int(k)
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad map entry {k!r}: {v!r}") from exc
+        if not _is_int(v):
+            raise InputError(f"bad map entry {k!r}: {v!r}")
+        out[x] = v
     return out
 
 

@@ -11,7 +11,6 @@ achieved confinement width is reported alongside the matching.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .errors import InputError, NoBoundedMatching
 from .cheeger import family_sets
 from .graph import Truncation, UdbgGraph
-from .qimaps import VertexMap
+from .qimaps import VertexMap, _max_distortion
 from .trees import CheckResult
 
 EXACT_PAIR_LIMIT = 1200
@@ -389,51 +388,13 @@ def bilipschitz_constant(
 ) -> Fraction:
     """Worst two-sided distance distortion of an injective vertex map."""
     pairs_map = mapping.mapping if isinstance(mapping, VertexMap) else dict(mapping)
-    domain = sorted(pairs_map)
-    if len(domain) < 2:
+    if len(pairs_map) < 2:
         raise InputError("need at least two mapped vertices")
-    if len(set(pairs_map.values())) != len(domain):
+    if len(set(pairs_map.values())) != len(pairs_map):
         raise InputError("map is not injective")
     if mode == "auto":
-        mode = "exact" if len(domain) <= EXACT_PAIR_LIMIT else "sampled"
-    if mode not in ("exact", "sampled"):
-        raise InputError(f"unknown mode {mode!r}")
-    up_n, up_d = 1, 1
-    dn_n, dn_d = 1, 1
-
-    def consider(u, v):
-        nonlocal up_n, up_d, dn_n, dn_d
-        a = g_x.distance(u, v)
-        b = g_y.distance(pairs_map[u], pairs_map[v])
-        if b * up_d > up_n * a:
-            up_n, up_d = b, a
-        if a * dn_d > dn_n * b:
-            dn_n, dn_d = a, b
-
-    if mode == "exact":
-        for i, u in enumerate(domain):
-            for v in domain[i + 1 :]:
-                consider(u, v)
-    else:
-        rng = random.Random(seed)
-        n = len(domain)
-        for _ in range(samples):
-            u = domain[rng.randrange(n)]
-            v = domain[rng.randrange(n)]
-            if u != v:
-                consider(u, v)
-    return max(Fraction(up_n, up_d), Fraction(dn_n, dn_d), Fraction(1))
-
-
-def map_distance(vm: Union[VertexMap, dict], result: MatchingResult, g_y: UdbgGraph) -> int:
-    """Largest target distance between the map and the matched bijection."""
-    mapping = vm.mapping if isinstance(vm, VertexMap) else dict(vm)
-    worst = 0
-    for x, y in result.pairs.items():
-        d = g_y.distance(mapping[x], y)
-        if d > worst:
-            worst = d
-    return worst
+        mode = "exact" if len(pairs_map) <= EXACT_PAIR_LIMIT else "sampled"
+    return _max_distortion(pairs_map, g_x, g_y, mode, seed, samples)[0]
 
 
 def verify_promotion_consistency(

@@ -15,10 +15,10 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import InputError
-from .ends import EndSpace, leaf_intervals
+from .ends import EndSpace, leaf_intervals, split_at_minimum
 from .graph import UdbgGraph
 from .trees import RootedTree
 
@@ -30,16 +30,13 @@ class EndMap:
     """Order-preserving correspondence between two end spaces.
 
     leaf_pairs partition both ray ranges into aligned intervals; when all
-    leaves are 1-to-1 the correspondence is a ray bijection. The
-    distortion sample records (source agreement, target agreement) for
-    seeded ray pairs, standing in for the distortion modulus.
+    leaves are 1-to-1 the correspondence is a ray bijection.
     """
 
     n_source: int
     n_target: int
     leaf_pairs: tuple[tuple[Interval, Interval], ...]
     bijective: bool
-    distortion_sample: tuple[tuple[int, int], ...] = ()
     _starts: tuple[int, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
@@ -68,19 +65,6 @@ class EndMap:
         return {a[0]: b[0] for a, b in self.leaf_pairs}
 
 
-def _split(adjacent, lo: int, hi: int) -> list[Interval]:
-    """Child sub-balls of the interval: split at its minimum agreement."""
-    m = min(adjacent[lo : hi - 1])
-    parts = []
-    start = lo
-    for cut in range(lo, hi - 1):
-        if adjacent[cut] == m:
-            parts.append((start, cut + 1))
-            start = cut + 1
-    parts.append((start, hi))
-    return parts
-
-
 def _group(parts: list[Interval], g: int) -> list[Interval]:
     """Merge contiguous parts into g intervals with sizes as even as possible."""
     q, rem = divmod(len(parts), g)
@@ -93,12 +77,7 @@ def _group(parts: list[Interval], g: int) -> list[Interval]:
     return out
 
 
-def hierarchical_end_map(
-    es_a: EndSpace,
-    es_b: EndSpace,
-    distortion_samples: int = 400,
-    seed: int = 0,
-) -> EndMap:
+def hierarchical_end_map(es_a: EndSpace, es_b: EndSpace) -> EndMap:
     """Deterministic ball-hierarchy correspondence between two end spaces.
 
     Expects end spaces of regularly branching trees (run perfectness_check
@@ -114,8 +93,8 @@ def hierarchical_end_map(
         if ahi - alo == 1 or bhi - blo == 1:
             leaves.append(((alo, ahi), (blo, bhi)))
             continue
-        parts_a = _split(adj_a, alo, ahi)
-        parts_b = _split(adj_b, blo, bhi)
+        _, parts_a = split_at_minimum(adj_a, alo, ahi)
+        _, parts_b = split_at_minimum(adj_b, blo, bhi)
         g = min(len(parts_a), len(parts_b))
         groups_a = _group(parts_a, g)
         groups_b = _group(parts_b, g)
@@ -123,40 +102,21 @@ def hierarchical_end_map(
             stack.append(pair)
     leaves.sort(key=lambda ab: ab[0][0])
     bijective = all(a[1] - a[0] == 1 and b[1] - b[0] == 1 for a, b in leaves)
-    em = EndMap(
+    return EndMap(
         n_source=na,
         n_target=nb,
         leaf_pairs=tuple(leaves),
         bijective=bijective,
     )
-    rng = random.Random(seed)
-    sample = []
-    if na >= 2:
-        for _ in range(distortion_samples):
-            i = rng.randrange(na)
-            j = rng.randrange(na)
-            if i == j:
-                continue
-            bi = em.image_of_ray(i)
-            bj = em.image_of_ray(j)
-            sample.append((es_a.product(i, j), es_b.product(bi, bj)))
-    return EndMap(
-        n_source=na,
-        n_target=nb,
-        leaf_pairs=em.leaf_pairs,
-        bijective=bijective,
-        distortion_sample=tuple(sample),
-    )
 
 
 @dataclass
 class VertexMap:
-    """Total map between vertex sets with measured comparison constants."""
+    """Total map between vertex sets."""
 
     mapping: dict[int, int]
     n_source: int
     n_target: int
-    measured: Optional[dict] = None
 
     def __getitem__(self, v: int) -> int:
         return self.mapping[v]
@@ -195,11 +155,7 @@ def induced_vertex_map(tree_t: RootedTree, tree_u: RootedTree, em: EndMap) -> Ve
     return VertexMap(mapping=mapping, n_source=tree_t.n, n_target=tree_u.n)
 
 
-def tree_vertex_map(
-    tree_t: RootedTree,
-    tree_u: RootedTree,
-    seed: int = 0,
-) -> VertexMap:
+def tree_vertex_map(tree_t: RootedTree, tree_u: RootedTree) -> VertexMap:
     """End-to-end map between rooted trees, dead ends included.
 
     Cores are matched through their end spaces; vertices off the core ride
@@ -210,9 +166,7 @@ def tree_vertex_map(
 
     core_t = complete_core(tree_t)
     core_u = complete_core(tree_u)
-    em = hierarchical_end_map(
-        enumerate_ends(core_t.core), enumerate_ends(core_u.core), seed=seed
-    )
+    em = hierarchical_end_map(enumerate_ends(core_t.core), enumerate_ends(core_u.core))
     core_vm = induced_vertex_map(core_t.core, core_u.core, em)
     mapping = {
         v: core_u.core_to_orig[core_vm[core_t.retraction[v]]]
@@ -244,6 +198,48 @@ class QiConstants:
         }
 
 
+def _max_distortion(
+    mapping: dict, g_x: UdbgGraph, g_y: UdbgGraph, mode: str, seed: int, samples: int
+) -> tuple[Fraction, Callable[[], Iterator[tuple[int, int]]]]:
+    """Worst two-sided distortion max(d_Y/d_X, d_X/d_Y, 1) over a pair stream.
+
+    The stream is every pair u < v of the domain in exact mode, and in
+    sampled mode `samples` seeded draws of (u, v) with u == v skipped, so
+    d_X >= 1 throughout. Pairs whose images coincide (d_Y = 0) are not
+    ratios and are skipped; an injective map has none. Returns the
+    constant and the stream, which replays the same pairs on every call.
+    """
+    if mode not in ("exact", "sampled"):
+        raise InputError(f"unknown mode {mode!r}")
+    domain = sorted(mapping)
+
+    def pairs():
+        if mode == "exact":
+            for i, u in enumerate(domain):
+                for v in domain[i + 1 :]:
+                    yield u, v
+        else:
+            rng = random.Random(seed)
+            n = len(domain)
+            for _ in range(samples):
+                u = domain[rng.randrange(n)]
+                v = domain[rng.randrange(n)]
+                if u != v:
+                    yield u, v
+
+    up_n, up_d = 1, 1  # max d_Y/d_X, compared by cross-multiplying
+    dn_n, dn_d = 1, 1  # max d_X/d_Y
+    for u, v in pairs():
+        a = g_x.distance(u, v)
+        b = g_y.distance(mapping[u], mapping[v])
+        if b:
+            if b * up_d > up_n * a:
+                up_n, up_d = b, a
+            if a * dn_d > dn_n * b:
+                dn_n, dn_d = a, b
+    return max(Fraction(up_n, up_d), Fraction(dn_n, dn_d), Fraction(1)), pairs
+
+
 def qi_constants(
     vm: Union[VertexMap, dict],
     g_x: UdbgGraph,
@@ -263,39 +259,10 @@ def qi_constants(
     mapping = vm.mapping if isinstance(vm, VertexMap) else dict(vm)
     if len(mapping) != g_x.n:
         raise InputError("vertex map must be total on the source graph")
-    if mode not in ("exact", "sampled"):
-        raise InputError(f"unknown mode {mode!r}")
-    domain = sorted(mapping)
-
-    def pair_stream():
-        if mode == "exact":
-            for i, u in enumerate(domain):
-                for v in domain[i + 1 :]:
-                    yield u, v
-        else:
-            rng = random.Random(seed)
-            n = len(domain)
-            for _ in range(samples):
-                u = domain[rng.randrange(n)]
-                v = domain[rng.randrange(n)]
-                if u != v:
-                    yield u, v
-
-    # pass 1: multiplicative constant over pairs with d_X, d_Y >= 1
-    up_n, up_d = 1, 1  # max d_Y/d_X
-    dn_n, dn_d = 1, 1  # max d_X/d_Y
-    for u, v in pair_stream():
-        a = g_x.distance(u, v)
-        b = g_y.distance(mapping[u], mapping[v])
-        if a >= 1 and b >= 1:
-            if b * up_d > up_n * a:
-                up_n, up_d = b, a
-            if a * dn_d > dn_n * b:
-                dn_n, dn_d = a, b
-    c_mult = max(Fraction(up_n, up_d), Fraction(dn_n, dn_d), Fraction(1))
-    # pass 2: additive slack at that multiplicative constant
+    c_mult, pairs = _max_distortion(mapping, g_x, g_y, mode, seed, samples)
+    # additive slack at that multiplicative constant, over the same pairs
     d_add = Fraction(0)
-    for u, v in pair_stream():
+    for u, v in pairs():
         a = g_x.distance(u, v)
         b = g_y.distance(mapping[u], mapping[v])
         need = max(b - c_mult * a, Fraction(a, 1) / c_mult - b)

@@ -59,7 +59,6 @@ class RootedTree:
     def from_parents(
         cls,
         parents: Sequence[Optional[int]],
-        collar_width: int = 0,
         budget: int = DEFAULT_VERTEX_BUDGET,
     ) -> "RootedTree":
         n = len(parents)
@@ -93,7 +92,7 @@ class RootedTree:
             if p is not None:
                 adjacency[v].append(p)
         graph = UdbgGraph(adjacency, root=root, levels=levels)
-        trunc = Truncation.from_graph(graph, collar_width=collar_width)
+        trunc = Truncation.from_graph(graph)
         return cls(
             trunc=trunc,
             parent=tuple(parents),
@@ -203,7 +202,7 @@ def add_dead_end(t: RootedTree, vertex: int, length: int, budget: int = DEFAULT_
     for _ in range(length):
         parents.append(attach)
         attach = len(parents) - 1
-    return RootedTree.from_parents(parents, collar_width=t.trunc.collar_width, budget=budget)
+    return RootedTree.from_parents(parents, budget=budget)
 
 
 def graft_dead_ends(
@@ -243,7 +242,7 @@ def graft_dead_ends(
                 attach = len(parents) - 1
             if len(parents) > budget:
                 raise ConstructionError(f"vertex budget exceeded: {len(parents)} > {budget}")
-    return RootedTree.from_parents(parents, collar_width=t.trunc.collar_width, budget=budget)
+    return RootedTree.from_parents(parents, budget=budget)
 
 
 # -- predicates ----------------------------------------------------------
@@ -355,7 +354,7 @@ def complete_core(t: RootedTree) -> CoreResult:
     for orig in keep:
         p = t.parent[orig]
         parents.append(None if p is None else new_id[p])
-    core = RootedTree.from_parents(parents, collar_width=t.trunc.collar_width)
+    core = RootedTree.from_parents(parents)
     retraction = {}
     keep_set = set(keep)
     for v in range(t.n):

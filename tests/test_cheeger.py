@@ -8,7 +8,6 @@ from bilip.cheeger import (
     cheeger_exact,
     cheeger_family,
     family_sets,
-    interior_of_truncation,
 )
 from bilip.errors import InputError
 from bilip.trees import RootedTree, gen_kary, graft_dead_ends
@@ -47,10 +46,10 @@ def center_rooted_path(arm):
 
 def test_interior_examples():
     t = gen_kary(2, 4)
-    assert len(interior_of_truncation(t.trunc, 0)) == 15
-    assert interior_of_truncation(t.trunc, 1) == frozenset(range(7))
+    assert len(t.trunc.interior(0)) == 15
+    assert t.trunc.interior(1) == frozenset(range(7))
     with pytest.raises(InputError):
-        interior_of_truncation(t.trunc, 4)
+        t.trunc.interior(4)
 
 
 def test_exact_matches_independent_enumerator():

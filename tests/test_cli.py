@@ -1,7 +1,15 @@
+import copy
 import hashlib
 import json
+from fractions import Fraction
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bilip import jsonio
 from bilip.cli import main
+from bilip.filling import build_filling, make_space
+from bilip.trees import gen_kary
 
 
 def run(*argv):
@@ -219,16 +227,133 @@ def test_construction_budget_error_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_promote_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+# (command, SHA-256 of the report it writes to --out), run on k-ary trees
+# generated in the test directory; relative paths keep the embedded config
+# independent of that directory.
+PINNED_REPORTS = (
     # 3-ary d6 -> 4-ary d5 leaves 475 unmatched targets on the truncation
     # sphere and 7 one level in, so the confinement sweep's pruning of
-    # depth-0 targets is exercised; relative paths keep the embedded
-    # config independent of the test directory.
+    # depth-0 targets is exercised
+    ("promote --from x.json --to y.json --map ends --collar 2 --seed 0 --out p.json",
+     "245d359027bf5c538db784c8cd687d0a702073a48c0d372ffe8f65094196436d"),
+    # sampled qi_constants: 1,093 and 1,365 vertices are above the exact limit
+    ("qi --from x.json --to y.json --samples 5000 --out qi.json",
+     "2c6319904f20c8d0b36666260b611e98ca3ed2d7e4d52279a44f6c5d914b4941"),
+    # 81 rays: exhaustive ultrametric scan, doubling and disconnection
+    # checks over the agreement hierarchy
+    ("ends --graph k3d4.json --out ends.json",
+     "38e92c2a5c6685a9501b79f9ffadb67a96d0253742fc338ec95fa02102663790"),
+    # 3,280 source vertices: bilipschitz_constant takes its sampled branch
+    ("promote --from k3d7.json --to k4d6.json --map ends --collar 2 --out p7.json",
+     "ff6fadef0fd104ef5224904aa2062e845591d848be1e0618aebce5a00a424d7c"),
+)
+
+
+def test_promote_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert run("gen-tree", "--kind", "kary", "--k", "3", "--depth", "6", "--out", "x.json") == 0
-    assert run("gen-tree", "--kind", "kary", "--k", "4", "--depth", "5", "--out", "y.json") == 0
-    assert run("promote", "--from", "x.json", "--to", "y.json", "--map", "ends",
-               "--collar", "2", "--seed", "0", "--out", "p.json") == 0
-    digest = hashlib.sha256((tmp_path / "p.json").read_bytes()).hexdigest()
-    assert digest == "245d359027bf5c538db784c8cd687d0a702073a48c0d372ffe8f65094196436d"
+    for name, k, depth in (("x.json", 3, 6), ("y.json", 4, 5), ("k3d4.json", 3, 4),
+                           ("k3d7.json", 3, 7), ("k4d6.json", 4, 6)):
+        assert run("gen-tree", "--kind", "kary", "--k", str(k), "--depth", str(depth),
+                   "--out", name) == 0
+    for command, digest in PINNED_REPORTS:
+        argv = command.split()
+        assert run(*argv) == 0
+        report = tmp_path / argv[argv.index("--out") + 1]
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest, command
+    capsys.readouterr()
+
+
+def test_map_file_must_hold_an_object(tmp_path, capsys):
+    a = gen_tree(tmp_path, "a.json", "--kind", "kary", "--k", "2", "--depth", "3")
+    bad = tmp_path / "maplist.json"
+    bad.write_text(json.dumps({"map": [1, 2]}))
+    assert run("promote", "--from", str(a), "--to", str(a), "--map", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'map' object" in err
+
+
+def test_graph_meta_must_be_an_object(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    data = jsonio.tree_to_dict(gen_kary(2, 3))
+    data["meta"] = 5
+    g.write_text(json.dumps(data))
+    assert run("promote", "--from", str(g), "--to", str(g)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'meta' must be an object" in err
+
+
+def test_negative_collar_is_input_error(tmp_path, capsys):
+    a = gen_tree(tmp_path, "a.json", "--kind", "kary", "--k", "2", "--depth", "4")
+    for argv in (
+        ("cheeger", "--graph", str(a)),
+        ("promote", "--from", str(a), "--to", str(a), "--map", "identity"),
+        ("verify", "--from", str(a), "--to", str(a), "--map", "identity"),
+    ):
+        assert run(*argv, "--collar", "-1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: collar width must be nonnegative"), argv
+
+
+VALID_TREE = jsonio.tree_to_dict(gen_kary(2, 3))
+VALID_MAP = jsonio.vertex_map_to_dict({v: v for v in range(15)})
+VALID_FILLING = jsonio.filling_to_dict(
+    build_filling(make_space("cantor13", 5), Fraction(1, 3), Fraction(15, 4), 3, seed=1)
+)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def perturbed(draw, valid):
+    """valid with one to three edits, each at a random depth: a value
+    replaced by arbitrary JSON (wrong types, out-of-range ids) or a key or
+    list entry removed."""
+    doc = {"doc": copy.deepcopy(valid)}
+    for _ in range(draw(st.integers(1, 3))):
+        node, key = doc, "doc"
+        while isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+            node = node[key]
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        if node is doc or draw(st.booleans()):
+            node[key] = draw(JSON_VALUES)
+        else:
+            del node[key]
+    return doc["doc"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_perturbed_json_keeps_the_exit_code_contract(tmp_path, data, capsys):
+    tree, vmap = tmp_path / "tree.json", tmp_path / "map.json"
+    tree.write_text(json.dumps(VALID_TREE))
+    command = data.draw(st.sampled_from(["cheeger", "ends", "export", "promote", "nearest-center"]))
+    if command == "nearest-center":
+        source, target = tmp_path / "fa.json", tmp_path / "fb.json"
+        source.write_text(json.dumps(VALID_FILLING))
+        target.write_text(json.dumps(data.draw(perturbed(VALID_FILLING))))
+        argv = ["promote", "--from", source, "--to", target, "--map", "nearest-center",
+                "--rmax", "2"]
+    elif command == "promote":
+        vmap.write_text(json.dumps(data.draw(perturbed(VALID_MAP))))
+        target = tree
+        if data.draw(st.booleans()):
+            target = tmp_path / "target.json"
+            target.write_text(json.dumps(data.draw(perturbed(VALID_TREE))))
+        argv = ["promote", "--from", tree, "--to", target, "--map", vmap, "--rmax", "2"]
+    else:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data.draw(perturbed(VALID_TREE))))
+        argv = {
+            "cheeger": ["cheeger", "--graph", bad],
+            "ends": ["ends", "--graph", bad],
+            "export": ["export", "--graph", bad, "--json", tmp_path / "o.json",
+                       "--dot", tmp_path / "o.dot", "--gromov-csv", tmp_path / "o.csv"],
+        }[command]
+    assert run(*map(str, argv)) in (0, 1, 2)
     capsys.readouterr()

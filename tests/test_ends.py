@@ -7,7 +7,6 @@ from bilip.ends import (
     EndSpace,
     disconnection_check,
     doubling_check,
-    end_distance,
     enumerate_ends,
     leaf_intervals,
     perfectness_check,
@@ -78,15 +77,15 @@ def test_table_matches_products():
 def test_end_distance_trivia():
     t = gen_kary(2, 3)
     es = enumerate_ends(t)
-    assert end_distance(es, 3, 3) == 3  # the depth sentinel: distance zero
-    assert end_distance(es, 0, es.n - 1) == 0  # split at the root: maximal
+    assert es.product(3, 3) == 3  # the depth sentinel: distance zero
+    assert es.product(0, es.n - 1) == 0  # split at the root: maximal
     # rays sharing exactly the level-1 vertex
     pairs = [
         (i, j)
         for i, j in itertools.combinations(range(es.n), 2)
         if es.rays[i][1] == es.rays[j][1] and es.rays[i][2] != es.rays[j][2]
     ]
-    assert pairs and all(end_distance(es, i, j) == 1 for i, j in pairs)
+    assert pairs and all(es.product(i, j) == 1 for i, j in pairs)
 
 
 def test_leaf_intervals_count_descendant_leaves():

@@ -151,9 +151,9 @@ def test_truncation_interior():
 def test_truncation_sphere_must_match_levels():
     g = gen_kary(2, 3).graph
     with pytest.raises(InputError):
-        Truncation(graph=g, depth=3, trunc_sphere=frozenset({0}), collar_width=0)
+        Truncation(graph=g, depth=3, trunc_sphere=frozenset({0}))
     with pytest.raises(InputError):
-        Truncation(graph=g, depth=3, trunc_sphere=frozenset(), collar_width=0)
+        Truncation(graph=g, depth=3, trunc_sphere=frozenset())
 
 
 def random_connected_graph(rng, n, mu):

@@ -20,6 +20,9 @@ def test_rational_round_trip():
         jsonio.parse_rational({"num": 1, "den": 2, "x": 3})
     with pytest.raises(InputError):
         jsonio.parse_rational(1.5)
+    for bad in ("x", "1/0", {"num": 1, "den": 0}, {"num": 1.5, "den": 2}, True):
+        with pytest.raises(InputError):
+            jsonio.parse_rational(bad)
 
 
 def test_graph_round_trip():
@@ -53,6 +56,8 @@ def test_graph_from_dict_validation():
         {"vertices": [{"id": 0, "level": 0}, {"id": 1, "level": 0.5}], "edges": [[0, 1]]},
         {"vertices": 2, "edges": [[0, 1]]},
         {"vertices": two, "edges": 0},
+        {"vertices": two, "edges": [[0, 1]], "meta": 5},
+        {"vertices": two, "edges": [[0, 1]], "root": True},
     ):
         with pytest.raises(InputError):
             jsonio.graph_from_dict(bad)
@@ -89,6 +94,12 @@ def test_filling_round_trip():
     broken = jsonio.graph_to_dict(f.graph, meta={"space": "cantor13"})
     with pytest.raises(InputError):
         jsonio.filling_from_dict(broken)
+    centers = d["meta"]["centers"]
+    for key, value in (("centers", None), ("centers", centers[:-1]), ("resolution", "8"),
+                       ("resolution", 8.0), ("scale", "x"), ("tau", {"num": 1, "den": 0})):
+        bad = {**d, "meta": {**d["meta"], key: value}}
+        with pytest.raises(InputError):
+            jsonio.filling_from_dict(bad)
 
 
 def test_vertex_map_round_trip():
@@ -99,6 +110,11 @@ def test_vertex_map_round_trip():
         jsonio.vertex_map_from_dict({"map": {"a": None}})
     with pytest.raises(InputError):
         jsonio.vertex_map_from_dict({})
+    # targets must be JSON integers: int() would truncate 1.5, accept
+    # true, and raise OverflowError on Infinity
+    for bad in ([1, 2], {"0": 1.5}, {"0": True}, {"0": float("inf")}, {"0": "1"}):
+        with pytest.raises(InputError):
+            jsonio.vertex_map_from_dict({"map": bad})
 
 
 def test_dot_and_csv():

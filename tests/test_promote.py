@@ -12,7 +12,6 @@ from bilip.promote import (
     chain_boundary,
     deficiency_chain,
     make_one_chain,
-    map_distance,
     promote_matching,
     verify_promotion_consistency,
     sum_boundary_criterion,
@@ -137,12 +136,12 @@ def test_promote_identity_and_parent_map():
     res = promote_matching(ident, t.trunc, t.trunc, r_start=0, r_max=3, collar_w=1)
     assert (res.r, res.bilip_constant, res.unmatched_y) == (0, 1, ())
     assert res.confinement_width == 0
-    assert map_distance(ident, res, t.graph) == 0
+    assert res.distance_to_map == 0
 
     pm = parent_map(t)
     res2 = promote_matching(pm, t.trunc, t.trunc, r_start=0, r_max=3, collar_w=1)
     assert res2.r == 1
-    assert map_distance(pm, res2, t.graph) == 1
+    assert res2.distance_to_map == 1
     assert res2.distance_to_map <= res2.r
     # the matcher lands on the identity bijection here
     assert all(x == y for x, y in res2.pairs.items())
