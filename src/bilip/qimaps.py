@@ -15,6 +15,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import InputError
@@ -215,17 +216,11 @@ def _max_distortion(
 
     def pairs():
         if mode == "exact":
-            for i, u in enumerate(domain):
-                for v in domain[i + 1 :]:
-                    yield u, v
-        else:
-            rng = random.Random(seed)
-            n = len(domain)
-            for _ in range(samples):
-                u = domain[rng.randrange(n)]
-                v = domain[rng.randrange(n)]
-                if u != v:
-                    yield u, v
+            return combinations(domain, 2)
+        rng = random.Random(seed)
+        n = len(domain)
+        draws = ((domain[rng.randrange(n)], domain[rng.randrange(n)]) for _ in range(samples))
+        return ((u, v) for u, v in draws if u != v)
 
     up_n, up_d = 1, 1  # max d_Y/d_X, compared by cross-multiplying
     dn_n, dn_d = 1, 1  # max d_X/d_Y
