@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -62,8 +61,11 @@ def cheeger_exact(t: Truncation, w: int, max_size: Optional[int] = None) -> Chee
     """Exact minimum of |boundary(A)| / |A| over interior subsets.
 
     Enumerates every nonempty subset up to max_size (not only connected
-    ones; the infimum ranges over all finite sets). Ties break toward the
-    smaller set, then the lexicographically smallest vertex tuple.
+    ones; the infimum ranges over all finite sets), by size and then in
+    lexicographic order, keeping the first set of the least ratio: ties
+    break toward the smaller set, then the lexicographically smallest
+    vertex tuple. |boundary(A)| = |N[A]| - |A| is kept incrementally
+    from per-vertex counts of closed neighbourhoods covering it.
     """
     interior = sorted(t.interior(w))
     n = len(interior)
@@ -76,25 +78,54 @@ def cheeger_exact(t: Truncation, w: int, max_size: Optional[int] = None) -> Chee
         max_size = n
     if max_size < 1:
         raise InputError("max_size must be at least 1")
-    total = sum(comb(n, s) for s in range(1, min(max_size, n) + 1))
+    top = min(max_size, n)
+    total = sum(comb(n, s) for s in range(1, top + 1))
     if total > 20_000_000:
         raise InputError(
             f"{total} subsets exceed the enumeration budget; "
             "lower max_size or use cheeger_family"
         )
     g = t.graph
-    best_key = None
-    best = None
-    for size in range(1, min(max_size, n) + 1):
-        for combo in combinations(interior, size):
-            ratio, key = _ratio_key(g, combo)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (ratio, combo)
-    ratio, argmin = best
+    closed = [(v,) + g.neighbors(v) for v in interior]
+    cover = [0] * g.n  # members of the chosen set whose N[a] holds v
+    chosen: list[int] = []
+    covered = 0  # |N[chosen]|
+    best = None  # (|boundary|, |A|, indices of A), compared as b * |A'| < b' * |A|
+
+    def extend(start: int, left: int) -> None:
+        # every completion of `chosen` by `left` more indices >= start;
+        # recursion depth is at most max_size
+        nonlocal covered, best
+        stop = n - left + 1
+        if left == 1:
+            size = len(chosen) + 1
+            for i in range(start, stop):
+                b = covered - size
+                for v in closed[i]:
+                    if not cover[v]:
+                        b += 1
+                if best is None or b * best[1] < best[0] * size:
+                    best = (b, size, chosen + [i])
+            return
+        for i in range(start, stop):
+            for v in closed[i]:
+                if not cover[v]:
+                    covered += 1
+                cover[v] += 1
+            chosen.append(i)
+            extend(i + 1, left - 1)
+            chosen.pop()
+            for v in closed[i]:
+                cover[v] -= 1
+                if not cover[v]:
+                    covered -= 1
+
+    for size in range(1, top + 1):
+        extend(0, size)
+    b, size, indices = best
     return CheegerCertificate(
-        best_ratio=ratio,
-        argmin_set=tuple(argmin),
+        best_ratio=Fraction(b, size),
+        argmin_set=tuple(interior[i] for i in indices),
         method="exact",
         family_description=f"all nonempty interior subsets of size <= {max_size}",
         collar=w,
@@ -137,15 +168,15 @@ def family_sets(t: Truncation, w: int, families: Iterable[str], seed: int) -> li
                 tail = rng.sample(centers[1:], BALL_CENTERS - 1)
                 centers = head + sorted(tail)
             for c in centers:
-                radius = 0
-                prev = None
-                while True:
-                    inside = g.ball(c, radius) & interior
-                    if inside == prev:
+                # ball(c, r) & interior for r = 0, 1, ... until a layer
+                # adds no interior vertex, from one BFS per centre
+                inside = set()
+                for layer in g.bfs_layers((c,)):
+                    added = [v for v in layer if v in interior]
+                    if not added:
                         break
+                    inside.update(added)
                     push(inside)
-                    prev = inside
-                    radius += 1
         elif name == "level-bands":
             if g.levels is None:
                 raise InputError("level-bands family needs level labels")

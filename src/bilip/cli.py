@@ -375,8 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ends", help="end-space checks for a complete tree")
     p.add_argument("--graph", required=True)
     p.add_argument("--check", default="ultrametric,doubling,perfect,disconnected")
-    p.add_argument("--mode", default="auto", choices=["auto", "exhaustive", "sampled"])
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--mode", default="auto", choices=["auto", "exhaustive", "sampled"],
+                   help="ultrametric triple scan; it applies to hand-built tables, "
+                   "while the end space of a tree file is ultrametric by identity "
+                   "and is never scanned")
+    p.add_argument("--samples", type=int, default=1_000_000,
+                   help="triples drawn by a sampled scan of a hand-built table")
     p.add_argument("--perfect-K", dest="perfect_K", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

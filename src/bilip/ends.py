@@ -7,7 +7,10 @@ them), so no floats appear anywhere.
 
 Rays are enumerated in planar (DFS) order. In that order the agreement
 depth of any pair equals the minimum over consecutive pairs between them,
-which is what lets large spaces carry the full table implicitly.
+which is what lets large spaces carry the full table implicitly. A range
+minimum is an ultrametric by identity, so ray-built spaces need no triple
+scan; the exhaustive and sampled ultrametric checks apply to hand-built
+tables (EndSpace.from_table).
 """
 
 from __future__ import annotations
@@ -158,19 +161,22 @@ class EndSpace:
 def enumerate_ends(t: RootedTree) -> EndSpace:
     """One ray per depth-D leaf, in planar order, with agreement depths."""
     leaf_intervals(t)  # completeness gate
-    rays: list[tuple[int, ...]] = []
+    children = t.children
+    rays: list[tuple[int, ...]] = [] if children[t.root] else [(t.root,)]
+    # pending[d] iterates the unvisited children of path[d]; no recursion,
+    # so depth is not bounded by the interpreter's frame limit
     path = [t.root]
-
-    def descend(v):
-        if not t.children[v]:
-            rays.append(tuple(path))
-            return
-        for c in t.children[v]:
-            path.append(c)
-            descend(c)
+    pending = [iter(children[t.root])]
+    while pending:
+        c = next(pending[-1], None)
+        if c is None:
+            pending.pop()
             path.pop()
-
-    descend(t.root)
+        elif children[c]:
+            path.append(c)
+            pending.append(iter(children[c]))
+        else:
+            rays.append((*path, c))
     adjacent = []
     for a, b in zip(rays, rays[1:]):
         m = 0
@@ -196,13 +202,16 @@ def verify_ultrametric(
 ) -> CheckResult:
     """m(F,H) >= min(m(F,G), m(G,H)) over triples (exact integers).
 
-    Exhaustive below 201 rays (or with mode="exhaustive"); seeded sampling
-    above, which keeps desk-scale runtime. Witness is the violating triple.
+    Ray-built spaces pass by identity: there m(i, k) is the minimum of
+    adjacent[i..k), so for i < j < k, m(i, k) = min(m(i, j), m(j, k)) and
+    no triple can violate the inequality. Hand-built tables (from_table)
+    are scanned: exhaustively below 201 rays (or with mode="exhaustive"),
+    by seeded sampling above. Witness is the violating triple.
     """
     n = es.n
     if mode not in ("auto", "exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
-    if n < 3:
+    if n < 3 or es.explicit is None:
         return CheckResult(True)
     exhaustive = mode == "exhaustive" or (mode == "auto" and n <= 200)
     if exhaustive:
@@ -301,16 +310,18 @@ def perfectness_check(es: EndSpace, K: int) -> CheckResult:
     if n == 1:
         return CheckResult(False, witness=(0, 0))
     adjacent = es.consistent_adjacent()
+    # The depths present for ray i are the running minima of adjacent to
+    # its right (from i) and to its left (from i - 1): chains of next
+    # strictly smaller entries, each at most depth long.
+    right = _next_smaller(range(n - 1), adjacent)
+    left = _next_smaller(range(n - 2, -1, -1), adjacent)
     for i in range(n):
         present = [False] * depth
-        running = depth
-        for j in range(i, n - 1):
-            running = min(running, adjacent[j])
-            present[running] = True
-        running = depth
-        for j in range(i - 1, -1, -1):
-            running = min(running, adjacent[j])
-            present[running] = True
+        for start, nxt in ((i, right), (i - 1, left)):
+            j = start if 0 <= start < n - 1 else -1
+            while j != -1:
+                present[adjacent[j]] = True
+                j = nxt[j]
         window = 0
         for v in range(min(K, depth)):
             window += present[v]
@@ -321,6 +332,19 @@ def perfectness_check(es: EndSpace, K: int) -> CheckResult:
                 window += present[m + K]
             window -= present[m]
     return CheckResult(True)
+
+
+def _next_smaller(order, values) -> list[int]:
+    """For each index, the first later index in `order` holding a strictly
+    smaller value, or -1; one monotonic-stack pass."""
+    nxt = [-1] * len(values)
+    stack: list[int] = []
+    for j in order:
+        v = values[j]
+        while stack and values[stack[-1]] > v:
+            nxt[stack.pop()] = j
+        stack.append(j)
+    return nxt
 
 
 def disconnection_check(es: EndSpace) -> CheckResult:

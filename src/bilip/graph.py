@@ -1,17 +1,19 @@
 """Finite bounded-degree graphs with the graph metric.
 
 Vertices are dense integers 0..n-1. Graphs are immutable after
-construction. Local queries (ball, sphere, boundary, and the Rips and
-growth helpers built on them) share one bounded BFS whose visited set is
-local to the call, so each costs O(|ball| * mu) rather than O(n). Full
-distance rows behind bfs_row and distance are cached per source.
+construction. Local queries (ball, sphere, boundary, the Rips and growth
+helpers built on them, and the ball family of the Cheeger module) share
+one lazily grown BFS whose visited set is local to the call, so each
+costs O(|ball| * mu) rather than O(n). Full distance rows behind bfs_row
+and distance are cached per source.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
 
@@ -139,34 +141,35 @@ class UdbgGraph:
                     q.append(u)
         return dist
 
-    def _layers(self, sources: Iterable[int], r: int) -> tuple[set[int], list[list[int]]]:
-        """Bounded BFS from validated sources out to distance r.
+    def bfs_layers(self, sources: Iterable[int]) -> Iterator[list[int]]:
+        """Breadth-first layers from validated sources, grown lazily.
 
-        Returns (ball, layers): layers[d] holds the vertices at distance
-        exactly d (layers[0] the distinct sources), stopping early at the
-        first empty layer, and ball is their union. Work is
-        O(|ball| * mu); all state is local to the call.
+        Yields the vertices at distance exactly d for d = 0, 1, ...
+        (layer 0 the distinct sources) and stops at the first empty
+        layer. A consumer that stops early pays only for the layers it
+        took: O(|ball| * mu), with the visited set local to the call.
         """
-        ball: set[int] = set()
+        seen: set[int] = set()
         frontier = []
         for s in sources:
-            if s not in ball:
-                ball.add(s)
+            if s not in seen:
+                seen.add(s)
                 frontier.append(s)
-        layers = [frontier]
         adj = self._adj
-        for _ in range(r):
+        while frontier:
+            yield frontier
             nxt = []
             for v in frontier:
                 for u in adj[v]:
-                    if u not in ball:
-                        ball.add(u)
+                    if u not in seen:
+                        seen.add(u)
                         nxt.append(u)
-            if not nxt:
-                break
-            layers.append(nxt)
             frontier = nxt
-        return ball, layers
+
+    def _layers(self, sources: Iterable[int], r: int) -> tuple[set[int], list[list[int]]]:
+        """(ball, layers): the first r + 1 layers of bfs_layers and their union."""
+        layers = list(islice(self.bfs_layers(sources), r + 1))
+        return set().union(*layers), layers
 
     def bfs_row(self, source: int) -> list[int]:
         """Distances from source to every vertex, cached per source."""

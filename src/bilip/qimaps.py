@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterator, Optional, Union
+from typing import Optional, Union
 
 from .errors import InputError
 from .ends import EndSpace, leaf_intervals, split_at_minimum
@@ -201,38 +201,36 @@ class QiConstants:
 
 def _max_distortion(
     mapping: dict, g_x: UdbgGraph, g_y: UdbgGraph, mode: str, seed: int, samples: int
-) -> tuple[Fraction, Callable[[], Iterator[tuple[int, int]]]]:
+) -> tuple[Fraction, set[tuple[int, int]]]:
     """Worst two-sided distortion max(d_Y/d_X, d_X/d_Y, 1) over a pair stream.
 
     The stream is every pair u < v of the domain in exact mode, and in
     sampled mode `samples` seeded draws of (u, v) with u == v skipped, so
     d_X >= 1 throughout. Pairs whose images coincide (d_Y = 0) are not
     ratios and are skipped; an injective map has none. Returns the
-    constant and the stream, which replays the same pairs on every call.
+    constant and the distinct (d_X, d_Y) values the stream met, at most
+    (diam X + 1) * (diam Y + 1) of them.
     """
     if mode not in ("exact", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
     domain = sorted(mapping)
-
-    def pairs():
-        if mode == "exact":
-            return combinations(domain, 2)
+    if mode == "exact":
+        pairs = combinations(domain, 2)
+    else:
         rng = random.Random(seed)
         n = len(domain)
         draws = ((domain[rng.randrange(n)], domain[rng.randrange(n)]) for _ in range(samples))
-        return ((u, v) for u, v in draws if u != v)
-
+        pairs = ((u, v) for u, v in draws if u != v)
+    seen = {(g_x.distance(u, v), g_y.distance(mapping[u], mapping[v])) for u, v in pairs}
     up_n, up_d = 1, 1  # max d_Y/d_X, compared by cross-multiplying
     dn_n, dn_d = 1, 1  # max d_X/d_Y
-    for u, v in pairs():
-        a = g_x.distance(u, v)
-        b = g_y.distance(mapping[u], mapping[v])
+    for a, b in seen:
         if b:
             if b * up_d > up_n * a:
                 up_n, up_d = b, a
             if a * dn_d > dn_n * b:
                 dn_n, dn_d = a, b
-    return max(Fraction(up_n, up_d), Fraction(dn_n, dn_d), Fraction(1)), pairs
+    return max(Fraction(up_n, up_d), Fraction(dn_n, dn_d), Fraction(1)), seen
 
 
 def qi_constants(
@@ -254,15 +252,9 @@ def qi_constants(
     mapping = vm.mapping if isinstance(vm, VertexMap) else dict(vm)
     if len(mapping) != g_x.n:
         raise InputError("vertex map must be total on the source graph")
-    c_mult, pairs = _max_distortion(mapping, g_x, g_y, mode, seed, samples)
+    c_mult, seen = _max_distortion(mapping, g_x, g_y, mode, seed, samples)
     # additive slack at that multiplicative constant, over the same pairs
-    d_add = Fraction(0)
-    for u, v in pairs():
-        a = g_x.distance(u, v)
-        b = g_y.distance(mapping[u], mapping[v])
-        need = max(b - c_mult * a, Fraction(a, 1) / c_mult - b)
-        if need > d_add:
-            d_add = need
+    d_add = max([Fraction(0), *(max(b - c_mult * a, a / c_mult - b) for a, b in seen)])
     image = set(mapping.values())
     surj_radius = max(g_y.distances_from_set(image))
     c_step = 0

@@ -11,13 +11,13 @@ from itertools import combinations
 
 from bilip.cheeger import cheeger_exact, cheeger_family
 from bilip.cli import main as cli_main
-from bilip.ends import doubling_check, enumerate_ends, verify_ultrametric
+from bilip.ends import EndSpace, doubling_check, enumerate_ends, verify_ultrametric
 from bilip.errors import NoBoundedMatching
 from bilip.filling import build_filling, filling_sanity, make_space, nearest_center_map
 from bilip.graph import Truncation
 from bilip.promote import promote_matching, verify_promotion_consistency
 from bilip.qimaps import tree_vertex_map
-from bilip.trees import gen_kary, gen_random_pseudo_regular, graft_dead_ends
+from bilip.trees import gen_kary, gen_path, gen_random_pseudo_regular, graft_dead_ends
 
 THIRD = Fraction(1, 3)
 TREE_FAMILIES = ["balls", "level-bands", "descendant-subtrees", "random-connected"]
@@ -67,28 +67,38 @@ def identity_suite():
 
 def test_criterion_01_cheeger_oracle_equivalence():
     budget = Budget(10)
-    trunc = gen_kary(2, 4).trunc
-    cert = cheeger_exact(trunc, 1)
+    cantor = build_filling(make_space("cantor13", 8), THIRD, Fraction(15, 4), 5, seed=1)
+    instances = [
+        (gen_kary(2, 4).trunc, None),
+        # paths and k-ary balls: many subsets share the least ratio, so
+        # the size and vertex-tuple tie rules decide the argmin
+        (gen_path(9).trunc, None),
+        (gen_kary(3, 4).trunc, 4),
+        (graft_dead_ends(gen_kary(2, 5), 2, seed=1).trunc, 4),
+        (Truncation.from_graph(cantor.graph), 3),  # not a tree
+    ]
+    for trunc, max_size in instances:
+        cert = cheeger_exact(trunc, 1, max_size=max_size)
 
-    # independent enumerator: bitmask subsets, raw adjacency scans,
-    # identical tie rule (ratio, then size, then vertex tuple)
-    interior = sorted(trunc.interior(1))
-    graph = trunc.graph
-    best = None
-    for size in range(1, len(interior) + 1):
-        for combo in combinations(interior, size):
-            inside = set(combo)
-            boundary = set()
-            for v in combo:
-                for u in graph.neighbors(v):
-                    if u not in inside:
-                        boundary.add(u)
-            key = (Fraction(len(boundary), size), size, combo)
-            if best is None or key < best:
-                best = key
-    ratio, _size, argmin = best
-    assert cert.best_ratio == ratio
-    assert cert.argmin_set == argmin
+        # independent enumerator: bitmask subsets, raw adjacency scans,
+        # identical tie rule (ratio, then size, then vertex tuple)
+        interior = sorted(trunc.interior(1))
+        graph = trunc.graph
+        best = None
+        for size in range(1, (max_size or len(interior)) + 1):
+            for combo in combinations(interior, size):
+                inside = set(combo)
+                boundary = set()
+                for v in combo:
+                    for u in graph.neighbors(v):
+                        if u not in inside:
+                            boundary.add(u)
+                key = (Fraction(len(boundary), size), size, combo)
+                if best is None or key < best:
+                    best = key
+        ratio, _size, argmin = best
+        assert cert.best_ratio == ratio
+        assert cert.argmin_set == argmin
     budget.check()
     announce(1, "cheeger oracle equivalence", budget)
 
@@ -116,6 +126,12 @@ def test_criterion_03_ultrametric_exactness():
     small = enumerate_ends(gen_kary(2, 6))
     res6 = verify_ultrametric(small, mode="exhaustive")
     assert res6.passed and res6.witness is None
+    # ray-built spaces pass by identity; the same tables handed in as
+    # explicit ones get the triple scans
+    for es, mode in ((big, "sampled"), (small, "exhaustive")):
+        table = EndSpace.from_table(es.table(), es.depth, es.mu)
+        res = verify_ultrametric(table, mode=mode, samples=1_000_000, seed=0)
+        assert res.passed and res.witness is None
     budget.check()
     announce(3, "ultrametric exactness", budget)
 

@@ -1,16 +1,20 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from bilip.cheeger import (
+    BALL_CENTERS,
     certify_linear_iso,
     cheeger_exact,
     cheeger_family,
     family_sets,
 )
 from bilip.errors import InputError
-from bilip.trees import RootedTree, gen_kary, graft_dead_ends
+from bilip.filling import build_filling, make_space
+from bilip.graph import Truncation, UdbgGraph
+from bilip.trees import RootedTree, gen_kary, gen_random_pseudo_regular, graft_dead_ends
 
 ALL_FAMILIES = ["balls", "level-bands", "descendant-subtrees", "random-connected"]
 
@@ -97,6 +101,51 @@ def test_family_root_balls_closed_form():
         assert len(g.boundary(ball, 1)) == 2 ** (radius + 1)
     cert = cheeger_family(t.trunc, 1, ["balls"], seed=0)
     assert cert.best_ratio == Fraction(128, 127)
+
+
+def ball_loop_sets(t, w, seed):
+    """Reference balls family: ball(c, r) & interior for r = 0, 1, ...
+    until it stops growing, one full ball per radius."""
+    g = t.graph
+    interior = t.interior(w)
+    centers = sorted(interior)
+    if g.root is not None and g.root in interior:
+        centers.remove(g.root)
+        centers.insert(0, g.root)
+    if len(centers) > BALL_CENTERS:
+        centers = centers[:1] + sorted(random.Random(seed).sample(centers[1:], BALL_CENTERS - 1))
+    sets, seen = [], set()
+    for c in centers:
+        radius, prev = 0, None
+        while True:
+            inside = frozenset(g.ball(c, radius) & interior)
+            if inside == prev:
+                break
+            if inside not in seen:
+                seen.add(inside)
+                sets.append(inside)
+            prev = inside
+            radius += 1
+    return sets
+
+
+def test_family_balls_match_ball_loop():
+    cantor = build_filling(make_space("cantor13", 8), Fraction(1, 3), Fraction(15, 4), 6, seed=1)
+    truncations = [
+        gen_kary(2, 5).trunc,
+        gen_kary(2, 8).trunc,  # 255 interior vertices: sampled centres
+        graft_dead_ends(gen_kary(2, 6), 2, seed=1).trunc,
+        gen_random_pseudo_regular(2, 2, 7, 4).trunc,
+        Truncation.from_graph(cantor.graph),  # not a tree
+        # levels 0, 1, 2, 3, 2 along a path: from vertex 4 the first layer
+        # is the truncation sphere and the second is interior again
+        Truncation.from_graph(UdbgGraph([[1], [0, 2], [1, 3], [2, 4], [3]], root=0,
+                                        levels=[0, 1, 2, 3, 2])),
+    ]
+    for trunc in truncations:
+        for w, seed in ((0, 0), (1, 0), (2, 5)):
+            assert family_sets(trunc, w, ["balls"], seed) == ball_loop_sets(trunc, w, seed)
+    assert not truncations[-2].graph.is_tree
 
 
 def test_family_never_beats_exact():

@@ -246,13 +246,26 @@ PINNED_REPORTS = (
     # 3,280 source vertices: bilipschitz_constant takes its sampled branch
     ("promote --from k3d7.json --to k4d6.json --map ends --collar 2 --out p7.json",
      "ff6fadef0fd104ef5224904aa2062e845591d848be1e0618aebce5a00a424d7c"),
+    # 2,187 rays: ultrametric by identity, perfectness over both chains
+    ("ends --graph k3d7.json --samples 200000 --out ends.json",
+     "c53901eb372aa39867732cf34c971930ae11e411bbf94821a8183f6f3b237cb9"),
+    # 206,367 subsets of a 31-vertex interior, incremental boundary counts
+    ("cheeger --graph k2d6.json --collar 1 --exact-max 5 --out cx.json",
+     "27ae4215bc95253df9d16e4542d9eeeef67d96d2c49ac388299e3e52173a6e03"),
+    # sampled c_mult and d_add from one pass over 50,000 pairs
+    ("qi --from k3d7.json --to k4d6.json --out qi7.json",
+     "aa5aed69409b0858c9e61f1f5c9a9249994dbfb6670bce3f22dd41485bc60de8"),
+    # ball families grown once per centre
+    ("verify --from k3d7.json --to k4d6.json --collar 1 "
+     "--families balls,level-bands,descendant-subtrees,random-connected --out v.json",
+     "c1f7bd04c943b86f918d386af1da3937f0491b463971f857398bb6cea7a9a13a"),
 )
 
 
 def test_promote_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, k, depth in (("x.json", 3, 6), ("y.json", 4, 5), ("k3d4.json", 3, 4),
-                           ("k3d7.json", 3, 7), ("k4d6.json", 4, 6)):
+                           ("k3d7.json", 3, 7), ("k4d6.json", 4, 6), ("k2d6.json", 2, 6)):
         assert run("gen-tree", "--kind", "kary", "--k", str(k), "--depth", str(depth),
                    "--out", name) == 0
     for command, digest in PINNED_REPORTS:
@@ -261,6 +274,18 @@ def test_promote_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         report = tmp_path / argv[argv.index("--out") + 1]
         assert hashlib.sha256(report.read_bytes()).hexdigest() == digest, command
     capsys.readouterr()
+
+
+def test_trees_deeper_than_the_recursion_limit(tmp_path, capsys):
+    from bilip.trees import gen_path
+
+    deep = tmp_path / "deep.json"
+    jsonio.save_json(deep, jsonio.tree_to_dict(gen_path(1200)))
+    # a single ray has no neighbour at any scale, so perfectness fails
+    assert run("ends", "--graph", str(deep), "--check", "perfect") == 1
+    assert run("qi", "--from", str(deep), "--to", str(deep), "--samples", "2000",
+               "--out", str(tmp_path / "qi.json")) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_map_file_must_hold_an_object(tmp_path, capsys):
@@ -308,17 +333,29 @@ JSON_VALUES = st.recursive(
 )
 
 
+def key_paths(node, prefix=()):
+    """Every key path into a JSON document, the empty path first."""
+    yield prefix
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from key_paths(node[key], prefix + (key,))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from key_paths(item, prefix + (i,))
+
+
 @st.composite
 def perturbed(draw, valid):
-    """valid with one to three edits, each at a random depth: a value
-    replaced by arbitrary JSON (wrong types, out-of-range ids) or a key or
-    list entry removed."""
+    """valid with one to three edits, each at a key path drawn uniformly
+    from the whole document: a value replaced by arbitrary JSON (wrong
+    types, out-of-range ids) or a key or list entry removed."""
     doc = {"doc": copy.deepcopy(valid)}
     for _ in range(draw(st.integers(1, 3))):
-        node, key = doc, "doc"
-        while isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+        path = ("doc",) + draw(st.sampled_from(list(key_paths(doc["doc"]))))
+        node = doc
+        for key in path[:-1]:
             node = node[key]
-            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        key = path[-1]
         if node is doc or draw(st.booleans()):
             node[key] = draw(JSON_VALUES)
         else:

@@ -13,7 +13,15 @@ from bilip.ends import (
     verify_ultrametric,
 )
 from bilip.errors import InputError
-from bilip.trees import add_dead_end, complete_core, gen_kary, gen_path, graft_dead_ends
+from bilip.trees import (
+    RootedTree,
+    add_dead_end,
+    complete_core,
+    gen_kary,
+    gen_path,
+    gen_random_pseudo_regular,
+    graft_dead_ends,
+)
 
 
 def lca_depth_oracle(t, leaf_a, leaf_b):
@@ -101,6 +109,22 @@ def test_ultrametric_passes_on_tree_ends():
     assert verify_ultrametric(enumerate_ends(gen_path(4))).passed  # vacuous below three rays
 
 
+def test_ray_built_spaces_are_ultrametric_by_identity():
+    # ray-built spaces skip the triple scan; the same table, handed in as
+    # an explicit one, must pass the scan that hand-built tables still get
+    trees = (gen_kary(2, 5), gen_kary(3, 3), gen_random_pseudo_regular(4, 2, 6, 4),
+             complete_core(graft_dead_ends(gen_kary(2, 5), 2, 3)).core)
+    for t in trees:
+        es = enumerate_ends(t)
+        explicit = EndSpace.from_table(es.table(), es.depth, es.mu)
+        assert verify_ultrametric(explicit, mode="exhaustive").passed
+        assert verify_ultrametric(explicit, mode="sampled", samples=2_000).passed
+        for mode in ("auto", "exhaustive", "sampled"):
+            assert verify_ultrametric(es, mode=mode, samples=2_000).passed
+    with pytest.raises(InputError):
+        verify_ultrametric(enumerate_ends(gen_kary(2, 3)), mode="bogus")
+
+
 def test_ultrametric_adversarial_table_fails():
     d = 4
     bad = [[d, 3, 1], [3, d, 3], [1, 3, d]]
@@ -175,6 +199,65 @@ def test_perfectness():
     assert perfectness_check(enumerate_ends(grafted_core), 3).passed
     with pytest.raises(InputError):
         perfectness_check(enumerate_ends(gen_kary(2, 3)), 9)
+
+
+def quadratic_perfectness(es, K):
+    """Per ray, every running minimum of the agreement array in both
+    directions, then the window scan: O(n^2) reference."""
+    n, depth = es.n, es.depth
+    if n == 1:
+        return (False, (0, 0))
+    adjacent = es.consistent_adjacent()
+    for i in range(n):
+        present = [False] * depth
+        running = depth
+        for j in range(i, n - 1):
+            running = min(running, adjacent[j])
+            present[running] = True
+        running = depth
+        for j in range(i - 1, -1, -1):
+            running = min(running, adjacent[j])
+            present[running] = True
+        for m in range(depth - K + 1):
+            if not any(present[m : m + K]):
+                return (False, (i, m))
+    return (True, None)
+
+
+def table_from_adjacent(adjacent, depth):
+    n = len(adjacent) + 1
+    table = [[depth] * n for _ in range(n)]
+    for i in range(n):
+        running = depth
+        for j in range(i + 1, n):
+            running = min(running, adjacent[j - 1])
+            table[i][j] = table[j][i] = running
+    return table
+
+
+def test_perfectness_matches_quadratic_scan():
+    trees = [gen_kary(2, 6), gen_kary(3, 4), gen_path(5)]
+    trees += [complete_core(graft_dead_ends(gen_kary(2, 6), 2, seed)).core for seed in (1, 2)]
+    trees += [gen_random_pseudo_regular(seed, K, 7, 4) for seed in (0, 3) for K in (1, 2, 3)]
+    # two long arms that branch only near the bottom: agreement depths 0
+    # and 5 leave a gap, so K = 2 fails at m = 1
+    parents = [None, 0, 1, 2, 3, 4, 5, 5, 0, 8, 9, 10, 11, 12, 12]
+    trees.append(RootedTree.from_parents(parents))
+    spaces = [enumerate_ends(t) for t in trees]
+    rng = random.Random(5)
+    for _ in range(40):  # random planar tables: most fail, witnesses vary
+        depth = rng.randint(2, 7)
+        adjacent = [rng.randrange(depth) for _ in range(rng.randint(1, 30))]
+        spaces.append(EndSpace.from_table(table_from_adjacent(adjacent, depth), depth, 3))
+    outcomes = set()
+    for es in spaces:
+        for K in range(1, es.depth + 1):
+            res = perfectness_check(es, K)
+            assert (res.passed, res.witness) == quadratic_perfectness(es, K)
+            outcomes.add(res.passed)
+    assert outcomes == {True, False}
+    gap = perfectness_check(spaces[len(trees) - 1], 2)
+    assert (gap.passed, gap.witness) == (False, (0, 1))
 
 
 def disconnection_oracle(es):

@@ -183,6 +183,9 @@ def test_bounded_queries_match_full_rows():
     for g in graphs:
         rows = [g.bfs_row(v) for v in g.vertices()]
         diameter = max(max(row) for row in rows)
+        for v, row in enumerate(rows):
+            layers = [set(layer) for layer in g.bfs_layers((v,))]
+            assert layers == [{u for u in g.vertices() if row[u] == d} for d in range(max(row) + 1)]
         for r in range(diameter + 2):
             for v in g.vertices():
                 row = rows[v]

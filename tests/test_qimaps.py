@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from bilip.ends import enumerate_ends, leaf_intervals
 from bilip.errors import InputError
+from bilip.filling import build_filling, make_space, nearest_center_map
 from bilip.qimaps import (
     hierarchical_end_map,
     induced_vertex_map,
@@ -128,6 +130,53 @@ def test_qi_constants_sampled_mode_deterministic():
     assert a == b
     with pytest.raises(InputError):
         qi_constants({0: 0}, t.graph, t.graph)  # not total
+
+
+def two_pass_qi_constants(mapping, g_x, g_y, mode, seed, samples):
+    """Reference (c_mult, d_add): a distortion pass over the pair stream,
+    then a second pass over the same stream for the additive slack."""
+    domain = sorted(mapping)
+
+    def pairs():
+        if mode == "exact":
+            return combinations(domain, 2)
+        rng = random.Random(seed)
+        draws = [(domain[rng.randrange(len(domain))], domain[rng.randrange(len(domain))])
+                 for _ in range(samples)]
+        return [(u, v) for u, v in draws if u != v]
+
+    c_mult = Fraction(1)
+    for u, v in pairs():
+        a, b = g_x.distance(u, v), g_y.distance(mapping[u], mapping[v])
+        if b:
+            c_mult = max(c_mult, Fraction(b, a), Fraction(a, b))
+    d_add = Fraction(0)
+    for u, v in pairs():
+        a, b = g_x.distance(u, v), g_y.distance(mapping[u], mapping[v])
+        d_add = max(d_add, b - c_mult * a, Fraction(a, 1) / c_mult - b)
+    return c_mult, d_add
+
+
+def test_qi_constants_match_two_pass_reference():
+    grafted = graft_dead_ends(gen_kary(2, 5), 2, seed=1)
+    retraction = complete_core(grafted)
+    fa, fb = (build_filling(make_space("cantor13", 6), Fraction(1, 3), Fraction(15, 4), 4, seed=s)
+              for s in (1, 2))
+    cases = [
+        (tree_vertex_map(gen_kary(2, 4), gen_kary(4, 2)).mapping,
+         gen_kary(2, 4).graph, gen_kary(4, 2).graph),
+        # not injective: pairs with coinciding images count for d_add only
+        ({v: retraction.retraction[v] for v in range(grafted.n)},
+         grafted.graph, retraction.core.graph),
+        (tree_vertex_map(gen_kary(3, 4), gen_kary(2, 6)).mapping,
+         gen_kary(3, 4).graph, gen_kary(2, 6).graph),
+        (nearest_center_map(fa, fb), fa.graph, fb.graph),  # not a tree
+    ]
+    for mapping, g_x, g_y in cases:
+        for mode, seed in (("exact", 0), ("sampled", 0), ("sampled", 7)):
+            qc = qi_constants(mapping, g_x, g_y, mode=mode, seed=seed, samples=3000)
+            expected = two_pass_qi_constants(mapping, g_x, g_y, mode, seed, 3000)
+            assert (qc.c_mult, qc.d_add) == expected, (mode, seed)
 
 
 def test_tree_vertex_map_handles_dead_ends():
