@@ -12,11 +12,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import InputError
 from .graph import Truncation
-from .trees import CheckResult
 
 FAMILY_NAMES = ("balls", "level-bands", "descendant-subtrees", "random-connected")
 
@@ -221,10 +220,17 @@ def family_sets(t: Truncation, w: int, families: Iterable[str], seed: int) -> li
 def cheeger_family(t: Truncation, w: int, families: Iterable[str], seed: int) -> CheegerCertificate:
     """Upper estimate of the isoperimetric constant over generated families."""
     families = list(families)
+    return _family_certificate(t, w, families, seed, family_sets(t, w, families, seed))
+
+
+def _family_certificate(
+    t: Truncation, w: int, families: list[str], seed: int, sets: list[frozenset[int]]
+) -> CheegerCertificate:
+    """The least-ratio set of family_sets(t, w, families, seed), given as `sets`."""
     g = t.graph
     best_key = None
     best = None
-    for vertex_set in family_sets(t, w, families, seed):
+    for vertex_set in sets:
         ratio, key = _ratio_key(g, vertex_set)
         if best_key is None or key < best_key:
             best_key = key
@@ -237,24 +243,3 @@ def cheeger_family(t: Truncation, w: int, families: Iterable[str], seed: int) ->
         family_description=",".join(families) + f" (seed={seed})",
         collar=w,
     )
-
-
-def certify_linear_iso(
-    t: Truncation,
-    w: int,
-    C,
-    families: Iterable[str],
-    seed: int,
-    sets: Optional[Sequence[frozenset[int]]] = None,
-) -> CheckResult:
-    """|A| <= C * |boundary(A)| for every tested set, exact arithmetic."""
-    C = Fraction(C)
-    if C <= 0:
-        raise InputError("C must be positive")
-    g = t.graph
-    if sets is None:
-        sets = family_sets(t, w, families, seed)
-    for vertex_set in sets:
-        if len(vertex_set) > C * len(g.boundary(vertex_set, 1)):
-            return CheckResult(False, witness=tuple(sorted(vertex_set)))
-    return CheckResult(True)

@@ -25,7 +25,6 @@ from .ends import (
 from .errors import ConstructionError, InputError, NoBoundedMatching
 from .filling import build_filling, make_space, nearest_center_map
 from .graph import Truncation
-from .jsonio import ExperimentConfig
 from .promote import promote_matching, verify_promotion_consistency
 from .qimaps import qi_constants, tree_vertex_map
 from .trees import gen_kary, gen_random_pseudo_regular, graft_dead_ends
@@ -44,13 +43,12 @@ def _config(name: str, seed: int, out, params: dict) -> dict:
         "verify": "verify",
         "export": "analyze",
     }[name]
-    cfg = ExperimentConfig(
-        name=name,
-        seed=seed,
-        output_dir=str(Path(out).parent) if out else ".",
-        stages={stage: params},
-    )
-    return cfg.to_dict()
+    return {
+        "name": name,
+        "seed": seed,
+        "output_dir": str(Path(out).parent) if out else ".",
+        "stages": {stage: params},
+    }
 
 
 def _families(raw: str) -> list[str]:
@@ -63,10 +61,9 @@ def _load_tree(path):
 
 
 def _build_map(strategy, path_x, path_y):
-    raw_x = jsonio.load_json(path_x)
-    raw_y = jsonio.load_json(path_y)
-    g_x, meta_x = jsonio.graph_from_dict(raw_x)
-    g_y, meta_y = jsonio.graph_from_dict(raw_y)
+    """(mapping, truncation of X, truncation of Y, strategy), parsing each file once."""
+    g_x, meta_x = jsonio.graph_from_dict(jsonio.load_json(path_x))
+    g_y, meta_y = jsonio.graph_from_dict(jsonio.load_json(path_y))
     if strategy == "auto":
         if "centers" in meta_x and "centers" in meta_y:
             strategy = "nearest-center"
@@ -74,18 +71,18 @@ def _build_map(strategy, path_x, path_y):
             strategy = "ends"
         else:
             raise InputError("cannot pick a map strategy; pass --map explicitly")
+    if strategy == "ends":
+        t_x = jsonio.tree_from_graph(g_x)
+        t_y = jsonio.tree_from_graph(g_y)
+        return tree_vertex_map(t_x, t_y).mapping, t_x.trunc, t_y.trunc, strategy
     if strategy == "identity":
         if g_x.n != g_y.n:
             raise InputError("identity map needs equal vertex counts")
         mapping = {v: v for v in g_x.vertices()}
     elif strategy == "nearest-center":
-        f_x = jsonio.filling_from_dict(raw_x)
-        f_y = jsonio.filling_from_dict(raw_y)
+        f_x = jsonio.filling_from_graph(g_x, meta_x)
+        f_y = jsonio.filling_from_graph(g_y, meta_y)
         mapping = nearest_center_map(f_x, f_y)
-    elif strategy == "ends":
-        t_x = jsonio.tree_from_graph(g_x)
-        t_y = jsonio.tree_from_graph(g_y)
-        mapping = tree_vertex_map(t_x, t_y).mapping
     else:
         mapping = jsonio.vertex_map_from_dict(jsonio.load_json(strategy))
         for x, y in mapping.items():
@@ -93,7 +90,7 @@ def _build_map(strategy, path_x, path_y):
             g_y.check_vertex(y)
         if len(mapping) != g_x.n:
             raise InputError("map file is not total on the source graph")
-    return mapping, g_x, g_y, strategy
+    return mapping, Truncation.from_graph(g_x), Truncation.from_graph(g_y), strategy
 
 
 # -- commands ----------------------------------------------------------------
@@ -238,9 +235,7 @@ def cmd_qi(args) -> int:
 
 
 def cmd_promote(args) -> int:
-    mapping, g_x, g_y, strategy = _build_map(args.map, getattr(args, "from"), args.to)
-    t_x = Truncation.from_graph(g_x)
-    t_y = Truncation.from_graph(g_y)
+    mapping, t_x, t_y, strategy = _build_map(args.map, getattr(args, "from"), args.to)
     params = {
         "from": str(getattr(args, "from")),
         "to": str(args.to),
@@ -285,9 +280,7 @@ def cmd_promote(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    mapping, g_x, g_y, strategy = _build_map(args.map, getattr(args, "from"), args.to)
-    t_x = Truncation.from_graph(g_x)
-    t_y = Truncation.from_graph(g_y)
+    mapping, t_x, t_y, strategy = _build_map(args.map, getattr(args, "from"), args.to)
     check, details = verify_promotion_consistency(
         mapping, t_x, t_y, args.collar, _families(args.families), args.seed
     )

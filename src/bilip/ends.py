@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InputError
-from .trees import CheckResult, RootedTree, core_vertices
+from .trees import CheckResult, RootedTree, is_complete
 
 
 def leaf_intervals(t: RootedTree) -> tuple[list[int], list[int]]:
@@ -29,7 +29,7 @@ def leaf_intervals(t: RootedTree) -> tuple[list[int], list[int]]:
     Requires a geodesically complete truncation (every branch reaches
     depth D); use complete_core first otherwise.
     """
-    if len(core_vertices(t)) != t.n:
+    if not is_complete(t):
         raise InputError(
             "tree has vertices off all full-depth rays; apply complete_core first"
         )

@@ -1,10 +1,9 @@
 """Finite bounded-degree graphs with the graph metric.
 
 Vertices are dense integers 0..n-1. Graphs are immutable after
-construction. Local queries (ball, sphere, boundary, the Rips and growth
-helpers built on them, and the ball family of the Cheeger module) share
-one lazily grown BFS whose visited set is local to the call, so each
-costs O(|ball| * mu) rather than O(n). Full distance rows behind bfs_row
+construction. Local queries (ball, sphere, boundary and the ball family
+of the Cheeger module) share one lazily grown BFS whose visited set is
+local to the call, so each costs O(|ball| * mu) rather than O(n). Full distance rows behind bfs_row
 and distance are cached per source.
 """
 
@@ -37,7 +36,6 @@ class UdbgGraph:
         root: Optional[int] = None,
         levels: Optional[Sequence[int]] = None,
         mu: Optional[int] = None,
-        validate: bool = True,
     ):
         adj = tuple(tuple(sorted(set(nbrs))) for nbrs in adjacency)
         n = len(adj)
@@ -50,8 +48,7 @@ class UdbgGraph:
         self._is_tree: Optional[bool] = None
         self._tree_parent: Optional[list[int]] = None
         self._tree_depth: Optional[list[int]] = None
-        if validate:
-            self._validate(n, adjacency)
+        self._validate(n, adjacency)
 
     def _validate(self, n, raw_adjacency):
         if n == 0:
@@ -283,44 +280,6 @@ class UdbgGraph:
         ball = self._layers(inside, r)[0]
         ball -= inside
         return ball
-
-
-def rips_scale_graph(g: UdbgGraph, r: int) -> UdbgGraph:
-    """Graph on the same vertices with edges between pairs at distance <= r.
-
-    Levels are kept only for r = 1 (larger scales break the one-level-per-edge
-    rule); the degree bound is recomputed.
-    """
-    if r < 1:
-        raise InputError("scale must be at least 1")
-    adjacency = []
-    for v in g.vertices():
-        ball = g._layers((v,), r)[0]
-        ball.discard(v)
-        adjacency.append(ball)
-    return UdbgGraph(
-        adjacency,
-        root=g.root,
-        levels=g.levels if r == 1 else None,
-        validate=False,
-    )
-
-
-def geometry_profile(g: UdbgGraph, r_max: int) -> list[int]:
-    """N_r = max ball cardinality, for r = 1..r_max (nondecreasing)."""
-    if r_max < 1:
-        raise InputError("r_max must be at least 1")
-
-    best = [0] * r_max
-    for v in g.vertices():
-        layers = g._layers((v,), r_max)[1]
-        total = 1
-        for r in range(1, r_max + 1):
-            if r < len(layers):
-                total += len(layers[r])
-            if total > best[r - 1]:
-                best[r - 1] = total
-    return best
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Interchange formats: JSON graphs, DOT, CSV, run configs.
+"""Interchange formats: JSON graphs, DOT and CSV.
 
 The JSON graph schema is
     {"vertices": [{"id": 0, "level": 0}, ...],
@@ -13,17 +13,14 @@ indent, trailing newline) so reruns are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import InputError
+from .errors import ConstructionError, InputError
 from .filling import Filling, make_space
-from .graph import UdbgGraph
-from .trees import RootedTree
-
-CONFIG_KEYS = {"name", "seed", "output_dir", "stages"}
+from .graph import UNREACHED, UdbgGraph
+from .trees import DEFAULT_VERTEX_BUDGET, RootedTree
 
 
 def rational(value: Union[Fraction, int]) -> dict:
@@ -94,6 +91,10 @@ def graph_from_dict(d: dict) -> tuple[UdbgGraph, dict]:
         raise InputError("graph JSON needs 'vertices' and 'edges'")
     if not isinstance(d["vertices"], list) or not isinstance(d["edges"], list):
         raise InputError("graph JSON 'vertices' and 'edges' must be lists")
+    if len(d["vertices"]) > DEFAULT_VERTEX_BUDGET:
+        raise ConstructionError(
+            f"vertex budget exceeded: {len(d['vertices'])} > {DEFAULT_VERTEX_BUDGET}"
+        )
     ids = []
     levels = []
     has_levels = None
@@ -143,14 +144,16 @@ def tree_to_dict(t: RootedTree, meta: Optional[dict] = None) -> dict:
 
 
 def tree_from_graph(g: UdbgGraph) -> RootedTree:
-    """Rebuild the rooted-tree view of a loaded graph."""
-    if g.root is None or not g.is_tree:
-        raise InputError("graph is not a rooted tree")
+    """The rooted-tree view of a loaded graph, sharing it.
+
+    A graph without level labels gets its depths as levels, in a copy.
+    """
     parent, depth = g.tree_arrays()
-    if g.levels is not None and list(g.levels) != depth:
+    if g.levels is None:
+        g = UdbgGraph([g.neighbors(v) for v in g.vertices()], root=g.root, levels=depth)
+    elif list(g.levels) != depth:
         raise InputError("level labels disagree with distance from the root")
-    parents = [p if p != -1 else None for p in parent]
-    return RootedTree.from_parents(parents)
+    return RootedTree._over(g, [None if p == UNREACHED else p for p in parent])
 
 
 def filling_to_dict(f: Filling) -> dict:
@@ -167,7 +170,11 @@ def filling_to_dict(f: Filling) -> dict:
 
 
 def filling_from_dict(d: dict) -> Filling:
-    g, meta = graph_from_dict(d)
+    return filling_from_graph(*graph_from_dict(d))
+
+
+def filling_from_graph(g: UdbgGraph, meta: dict) -> Filling:
+    """The filling a loaded graph describes through its center metadata."""
     needed = {"space", "resolution", "scale", "tau", "seed", "centers"}
     if not needed <= set(meta):
         raise InputError("filling JSON lacks center metadata")
@@ -243,57 +250,3 @@ def gromov_csv(table: list[list[int]]) -> str:
     for i in range(n):
         rows.append(str(i) + "," + ",".join(str(x) for x in table[i]))
     return "\n".join(rows) + "\n"
-
-
-# -- run configuration -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved parameters of one reproducible run.
-
-    Embedded verbatim in every report; round-trips losslessly and rejects
-    unknown keys, so a report always names the exact run that made it.
-    """
-
-    name: str
-    seed: int
-    output_dir: str
-    stages: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "stages": self.stages,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise InputError("config must be a JSON object")
-        extra = set(d) - CONFIG_KEYS
-        if extra:
-            raise InputError(f"unknown config keys: {sorted(extra)}")
-        missing = CONFIG_KEYS - set(d)
-        if missing:
-            raise InputError(f"missing config keys: {sorted(missing)}")
-        if not isinstance(d["name"], str):
-            raise InputError("config name must be a string")
-        if not isinstance(d["seed"], int):
-            raise InputError("config seed must be an integer")
-        if not isinstance(d["output_dir"], str):
-            raise InputError("config output_dir must be a string")
-        stages = d["stages"]
-        if not isinstance(stages, dict):
-            raise InputError("config stages must be an object")
-        for stage, params in stages.items():
-            if not isinstance(params, dict):
-                raise InputError(f"stage {stage!r} parameters must be an object")
-        return cls(
-            name=d["name"],
-            seed=d["seed"],
-            output_dir=d["output_dir"],
-            stages=stages,
-        )

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InputError, NoBoundedMatching
-from .cheeger import family_sets
+from .cheeger import _family_certificate, family_sets
 from .graph import Truncation, UdbgGraph
 from .qimaps import VertexMap, _max_distortion
 from .trees import CheckResult
@@ -48,41 +48,6 @@ class ZeroChain:
 
     def sum_over(self, vertex_set: Iterable[int]) -> int:
         return sum(self.coefficients.get(v, 0) for v in vertex_set)
-
-
-@dataclass(frozen=True)
-class OneChain:
-    """Integer coefficients on oriented edges of the scale-r graph.
-
-    Edge keys are ordered pairs (head, tail); the boundary of an edge is
-    head - tail.
-    """
-
-    coefficients: dict
-    scale: int
-
-
-def make_one_chain(g: UdbgGraph, scale: int, items: dict) -> OneChain:
-    if scale < 1:
-        raise InputError("chain scale must be at least 1")
-    cleaned = {}
-    for (head, tail), c in items.items():
-        g.check_vertex(head)
-        g.check_vertex(tail)
-        d = g.distance(head, tail)
-        if not 0 < d <= scale:
-            raise InputError(f"({head},{tail}) is not an edge at scale {scale}")
-        if c != 0:
-            cleaned[(head, tail)] = c
-    return OneChain(coefficients=cleaned, scale=scale)
-
-
-def chain_boundary(b: OneChain) -> ZeroChain:
-    out: dict[int, int] = {}
-    for (head, tail), c in b.coefficients.items():
-        out[head] = out.get(head, 0) + c
-        out[tail] = out.get(tail, 0) - c
-    return ZeroChain.make(out)
 
 
 def deficiency_chain(vm: Union[VertexMap, dict], g_x: UdbgGraph, g_y: UdbgGraph) -> ZeroChain:
@@ -120,32 +85,23 @@ class CriterionReport:
 
 def sum_boundary_criterion(
     c: ZeroChain,
-    t: Truncation,
-    r: int,
-    collar: int,
-    families: Iterable[str] = ("balls",),
-    seed: int = 0,
+    g: UdbgGraph,
+    sets: Sequence[frozenset[int]],
     C=None,
-    sets: Optional[Sequence[frozenset[int]]] = None,
 ) -> CriterionReport:
-    """|sum over S of c| against |r-boundary of S| over family sets.
+    """|sum over S of c| against |boundary of S| over the given sets.
 
     Reports the worst ratio (the empirical constant) and, when C is
     supplied, whether every tested set satisfies the bound, with the
     first violating set as witness. Exact rational arithmetic.
     """
-    if r < 1:
-        raise InputError("boundary radius must be at least 1")
-    g = t.graph
-    if sets is None:
-        sets = family_sets(t, collar, families, seed)
     bound = Fraction(C) if C is not None else None
     max_ratio = Fraction(0)
     passed: Optional[bool] = None if bound is None else True
     witness = None
     for vertex_set in sets:
         total = abs(c.sum_over(vertex_set))
-        edge = len(g.boundary(vertex_set, r))
+        edge = len(g.boundary(vertex_set, 1))
         if edge == 0:
             raise InputError("a tested set has empty boundary; it must be proper")
         ratio = Fraction(total, edge)
@@ -411,19 +367,18 @@ def verify_promotion_consistency(
     into the boundary criterion at radius 1 with constant A divided by
     the best ratio; every family set must satisfy it witness-free.
     """
-    from .cheeger import cheeger_family
-
+    families = list(families)
     chain = deficiency_chain(vm, t_x.graph, t_y.graph)
     sets = family_sets(t_y, collar, families, seed)
-    cert = cheeger_family(t_y, collar, families, seed)
+    cert = _family_certificate(t_y, collar, families, seed, sets)
     bound_a = chain.bound
     constant = Fraction(bound_a, 1) / cert.best_ratio
     if bound_a == 0:
-        report = sum_boundary_criterion(chain, t_y, 1, collar, sets=sets, C=Fraction(1))
+        report = sum_boundary_criterion(chain, t_y.graph, sets, C=Fraction(1))
         passed = report.max_ratio == 0
         witness = report.witness
     else:
-        report = sum_boundary_criterion(chain, t_y, 1, collar, sets=sets, C=constant)
+        report = sum_boundary_criterion(chain, t_y.graph, sets, C=constant)
         passed = bool(report.passed)
         witness = report.witness
     details = {

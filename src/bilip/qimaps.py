@@ -10,13 +10,12 @@ it) contains the image of the source shadow.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Union
+from typing import Union
 
 from .errors import InputError
 from .ends import EndSpace, leaf_intervals, split_at_minimum
@@ -48,10 +47,6 @@ class EndMap:
             raise InputError(f"ray index {ray} out of range")
         return bisect_right(self._starts, ray) - 1
 
-    def image_of_ray(self, ray: int) -> int:
-        """Canonical target ray (first of the paired block)."""
-        return self.leaf_pairs[self.leaf_of(ray)][1][0]
-
     def image_interval(self, interval: Interval) -> Interval:
         lo, hi = interval
         if not (0 <= lo < hi <= self.n_source):
@@ -59,11 +54,6 @@ class EndMap:
         first = self.leaf_pairs[self.leaf_of(lo)][1]
         last = self.leaf_pairs[self.leaf_of(hi - 1)][1]
         return (first[0], last[1])
-
-    def ray_map(self) -> Optional[dict[int, int]]:
-        if not self.bijective:
-            return None
-        return {a[0]: b[0] for a, b in self.leaf_pairs}
 
 
 def _group(parts: list[Interval], g: int) -> list[Interval]:
@@ -174,13 +164,6 @@ def tree_vertex_map(tree_t: RootedTree, tree_u: RootedTree) -> VertexMap:
         for v in range(tree_t.n)
     }
     return VertexMap(mapping=mapping, n_source=tree_t.n, n_target=tree_u.n)
-
-
-def paired_depth(k: int, depth: int, target_k: int) -> int:
-    """Depth for the target branching factor matching boundary scales."""
-    if k < 2 or target_k < 2:
-        raise InputError("branching factors must be at least 2")
-    return int(round(depth * math.log(k) / math.log(target_k)))
 
 
 @dataclass(frozen=True)

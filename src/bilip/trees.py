@@ -87,17 +87,34 @@ class RootedTree:
                 stack.append(c)
         if min(levels) < 0:
             raise InputError("parent array does not describe a connected tree")
-        adjacency = [list(children[v]) for v in range(n)]
+        return cls._over(UdbgGraph(_adjacency(parents), root=root, levels=levels), parents)
+
+    @classmethod
+    def _over(cls, graph: UdbgGraph, parents: Sequence[Optional[int]]) -> "RootedTree":
+        """The tree view of a validated rooted tree whose levels are the depths.
+
+        parents[v] is the parent of v (None at the root); the view shares
+        `graph` and derives its children and truncation from it.
+        """
+        children = [[] for _ in range(graph.n)]
         for v, p in enumerate(parents):
             if p is not None:
-                adjacency[v].append(p)
-        graph = UdbgGraph(adjacency, root=root, levels=levels)
-        trunc = Truncation.from_graph(graph)
+                children[p].append(v)
         return cls(
-            trunc=trunc,
+            trunc=Truncation.from_graph(graph),
             parent=tuple(parents),
-            children=tuple(tuple(sorted(c)) for c in children),
+            children=tuple(map(tuple, children)),
         )
+
+
+def _adjacency(parents: Sequence[Optional[int]]) -> list[list[int]]:
+    """Tree edges v - parents[v] as adjacency lists."""
+    adjacency: list[list[int]] = [[] for _ in parents]
+    for v, p in enumerate(parents):
+        if p is not None:
+            adjacency[v].append(p)
+            adjacency[p].append(v)
+    return adjacency
 
 
 def _normalize_schedule(schedule: Schedule, depth: int) -> list[int]:
@@ -280,6 +297,18 @@ def core_vertices(t: RootedTree) -> list[int]:
     return [v for v in range(t.n) if reach[v] == t.depth]
 
 
+def is_complete(t: RootedTree) -> bool:
+    """Every vertex lies on a root-to-depth-D geodesic, tested in O(n).
+
+    Equivalent to len(core_vertices(t)) == t.n: a vertex is off the core
+    exactly when no leaf below it reaches depth D, so the core is
+    everything precisely when every childless vertex sits at level D.
+    """
+    depth = t.depth
+    levels = t.graph.levels
+    return all(kids or levels[v] == depth for v, kids in enumerate(t.children))
+
+
 def check_visual(t: RootedTree, C: int) -> CheckResult:
     """Every vertex within C of a full-depth ray.
 
@@ -304,40 +333,11 @@ def check_visual(t: RootedTree, C: int) -> CheckResult:
     return CheckResult(witness is None, witness=witness, indeterminate=tuple(pending))
 
 
-def branch_subtree(t: RootedTree, x: int, v: int) -> set[int]:
-    """All y whose geodesic from v passes through x."""
-    g = t.graph
-    g.check_vertex(x)
-    g.check_vertex(v)
-    if x == v:
-        return set(g.vertices())
-    # Next vertex on the x -> v geodesic; removing that edge isolates the set.
-    if t.level(v) > t.level(x):
-        a, prev = v, None
-        while t.level(a) > t.level(x):
-            a, prev = t.parent[a], a
-        blocked = prev if a == x else t.parent[x]
-    else:
-        blocked = t.parent[x]
-    out = {x}
-    stack = [x]
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if w != blocked and w not in out:
-                out.add(w)
-                stack.append(w)
-    return out
-
-
 @dataclass(frozen=True)
 class CoreResult:
     core: RootedTree
     retraction: dict  # original id -> core id
     core_to_orig: tuple[int, ...]
-
-    def retraction_distance(self, t: RootedTree, v: int) -> int:
-        return t.graph.distance(v, self.core_to_orig[self.retraction[v]])
 
 
 def complete_core(t: RootedTree) -> CoreResult:
@@ -346,15 +346,21 @@ def complete_core(t: RootedTree) -> CoreResult:
     The retraction sends each vertex to its nearest core vertex; in a tree
     that vertex is the first core ancestor, so it is unique (ties cannot
     arise, smallest-id tie-breaking is stated for API stability only).
-    Restricted to the core the retraction is the identity.
+    Restricted to the core the retraction is the identity; a complete
+    tree is its own core.
     """
+    if is_complete(t):
+        ids = tuple(range(t.n))
+        return CoreResult(core=t, retraction=dict(enumerate(ids)), core_to_orig=ids)
     keep = core_vertices(t)
     new_id = {orig: i for i, orig in enumerate(keep)}
     parents: list[Optional[int]] = []
     for orig in keep:
         p = t.parent[orig]
         parents.append(None if p is None else new_id[p])
-    core = RootedTree.from_parents(parents)
+    levels = [t.level(orig) for orig in keep]
+    graph = UdbgGraph(_adjacency(parents), root=new_id[t.root], levels=levels)
+    core = RootedTree._over(graph, parents)
     retraction = {}
     keep_set = set(keep)
     for v in range(t.n):

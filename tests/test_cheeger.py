@@ -6,7 +6,6 @@ import pytest
 
 from bilip.cheeger import (
     BALL_CENTERS,
-    certify_linear_iso,
     cheeger_exact,
     cheeger_family,
     family_sets,
@@ -188,16 +187,3 @@ def test_certificate_recomputes():
         "num": cert.best_ratio.numerator,
         "den": cert.best_ratio.denominator,
     }
-
-
-def test_certify_linear_iso():
-    t = gen_kary(2, 8)
-    assert certify_linear_iso(t.trunc, 1, 2, ALL_FAMILIES, seed=0).passed
-    res = certify_linear_iso(t.trunc, 1, Fraction(1, 10), ["balls"], seed=0)
-    assert not res.passed
-    witness = set(res.witness)
-    assert len(witness) > Fraction(1, 10) * len(t.graph.boundary(witness, 1))
-    single = certify_linear_iso(t.trunc, 1, 1, ["balls"], seed=0, sets=[frozenset({0})])
-    assert single.passed  # 1 <= 1 * 2
-    with pytest.raises(InputError):
-        certify_linear_iso(t.trunc, 1, 0, ["balls"], seed=0)

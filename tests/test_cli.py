@@ -259,6 +259,18 @@ PINNED_REPORTS = (
     ("verify --from k3d7.json --to k4d6.json --collar 1 "
      "--families balls,level-bands,descendant-subtrees,random-connected --out v.json",
      "c1f7bd04c943b86f918d386af1da3937f0491b463971f857398bb6cea7a9a13a"),
+    # stretched source: complete_core prunes its dead ends before the end map
+    ("promote --from s6.json --to k2d6.json --map ends --collar 1 --out ps.json",
+     "8fbf4941e4dfb8835e1e2d725f8a790e3d74217fee05120345bee162ef61c07a"),
+    # fillings loaded once for both the graph and the nearest-center map
+    ("promote --from fa.json --to fb.json --map nearest-center --collar 1 --out pf.json",
+     "314885a7af28b3de37b8d6e2f6216b9fabbeefe2fec2bb3a444e0365b75612db"),
+)
+
+PINNED_INPUTS = (
+    "gen-tree --kind stretched --depth 6 --seed 7 --out s6.json",
+    "fill --space cantor13 --levels 5 --scale 1/3 --tau 15/4 --seed 1 --out fa.json",
+    "fill --space cantor13 --levels 5 --scale 1/3 --tau 15/4 --seed 2 --out fb.json",
 )
 
 
@@ -268,11 +280,42 @@ def test_promote_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
                            ("k3d7.json", 3, 7), ("k4d6.json", 4, 6), ("k2d6.json", 2, 6)):
         assert run("gen-tree", "--kind", "kary", "--k", str(k), "--depth", str(depth),
                    "--out", name) == 0
+    for command in PINNED_INPUTS:
+        assert run(*command.split()) == 0
     for command, digest in PINNED_REPORTS:
         argv = command.split()
         assert run(*argv) == 0
         report = tmp_path / argv[argv.index("--out") + 1]
         assert hashlib.sha256(report.read_bytes()).hexdigest() == digest, command
+    capsys.readouterr()
+
+
+def test_promote_builds_one_graph_per_input_file(tmp_path, monkeypatch, capsys):
+    from bilip.graph import UdbgGraph
+
+    x = gen_tree(tmp_path, "x.json", "--kind", "kary", "--k", "3", "--depth", "4")
+    y = gen_tree(tmp_path, "y.json", "--kind", "kary", "--k", "4", "--depth", "3")
+    built = []
+    init = UdbgGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(UdbgGraph, "__init__", counting_init)
+    assert run("promote", "--from", str(x), "--to", str(y), "--map", "ends",
+               "--out", str(tmp_path / "p.json")) == 0
+    assert len(built) == 2
+    capsys.readouterr()
+
+
+def test_vertex_budget_on_load(tmp_path, monkeypatch, capsys):
+    tree = gen_tree(tmp_path, "t.json", "--kind", "kary", "--k", "2", "--depth", "3")
+    monkeypatch.setattr(jsonio, "DEFAULT_VERTEX_BUDGET", 14)
+    assert run("ends", "--graph", str(tree)) == 2
+    assert capsys.readouterr().err == "error: vertex budget exceeded: 15 > 14\n"
+    monkeypatch.setattr(jsonio, "DEFAULT_VERTEX_BUDGET", 15)
+    assert run("ends", "--graph", str(tree)) == 0
     capsys.readouterr()
 
 

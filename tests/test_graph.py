@@ -3,8 +3,8 @@ import random
 import pytest
 
 from bilip.errors import InputError
-from bilip.graph import Truncation, UdbgGraph, geometry_profile, rips_scale_graph
-from bilip.trees import gen_kary, gen_path, graft_dead_ends
+from bilip.graph import Truncation, UdbgGraph
+from bilip.trees import gen_kary, graft_dead_ends
 
 
 def naive_bfs_distance(g, source, target):
@@ -85,7 +85,9 @@ def test_boundary_examples():
 def test_boundary_properties():
     g = graft_dead_ends(gen_kary(2, 5), 1, seed=2).graph
     rng = random.Random(4)
-    profile = geometry_profile(g, 3)
+    # largest ball of each radius 1..3
+    rows = [g.bfs_row(v) for v in g.vertices()]
+    profile = [max(sum(1 for d in row if d <= r) for row in rows) for r in (1, 2, 3)]
     for _ in range(25):
         a = {rng.randrange(g.n) for _ in range(rng.randint(1, 8))}
         b1 = g.boundary(a, 1)
@@ -95,29 +97,6 @@ def test_boundary_properties():
         assert b1 <= b2 <= b3
         for r, br in ((1, b1), (2, b2), (3, b3)):
             assert len(br) <= len(a) * profile[r - 1]
-
-
-def test_rips_scale_graph():
-    g = gen_kary(2, 3).graph
-    r1 = rips_scale_graph(g, 1)
-    assert list(r1.edges()) == list(g.edges())
-
-    path = gen_path(2).graph
-    tri = rips_scale_graph(path, 2)
-    assert tri.edge_count() == 3  # triangle
-
-    g2 = rips_scale_graph(gen_kary(2, 2).graph, 2)
-    assert g2.degree(0) == 6  # 2 children + 4 grandchildren
-    assert g2.levels is None
-    with pytest.raises(InputError):
-        rips_scale_graph(g, 0)
-
-
-def test_geometry_profile():
-    assert geometry_profile(gen_kary(2, 4).graph, 1) == [4]
-    assert geometry_profile(gen_path(9).graph, 2) == [3, 5]
-    prof = geometry_profile(gen_kary(3, 4).graph, 5)
-    assert all(a <= b for a, b in zip(prof, prof[1:]))
 
 
 def test_construction_validation():
@@ -196,22 +175,3 @@ def test_bounded_queries_match_full_rows():
                 dist = g.distances_from_set(sources)
                 expected = {u for u in g.vertices() if 1 <= dist[u] <= r}
                 assert g.boundary(sources, r) == expected
-
-
-def test_rips_and_profile_match_full_rows():
-    _, graphs = kernel_instances()
-    for g in graphs:
-        rows = [g.bfs_row(v) for v in g.vertices()]
-        diameter = max(max(row) for row in rows)
-        r_max = diameter + 1
-        expected_profile = [
-            max(sum(1 for d in row if d <= r) for row in rows) for r in range(1, r_max + 1)
-        ]
-        assert geometry_profile(g, r_max) == expected_profile
-        for r in range(1, r_max + 1):
-            rips = rips_scale_graph(g, r)
-            for v in g.vertices():
-                expected = tuple(u for u in g.vertices() if 0 < rows[v][u] <= r)
-                assert rips.neighbors(v) == expected
-            assert rips.root == g.root
-            assert rips.levels == (g.levels if r == 1 else None)

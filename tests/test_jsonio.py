@@ -5,7 +5,6 @@ import pytest
 from bilip import jsonio
 from bilip.errors import InputError
 from bilip.filling import build_filling, make_space
-from bilip.jsonio import ExperimentConfig
 from bilip.trees import gen_kary
 
 
@@ -71,6 +70,18 @@ def test_tree_round_trip_with_parent_meta():
     g, _ = jsonio.graph_from_dict(d)
     t2 = jsonio.tree_from_graph(g)
     assert t2.parent == t.parent
+    assert t2.children == t.children
+    assert t2.graph is g and t2.trunc.graph is g
+
+
+def test_tree_from_graph_derives_missing_levels():
+    d = jsonio.tree_to_dict(gen_kary(2, 3))
+    for entry in d["vertices"]:
+        del entry["level"]
+    g, _ = jsonio.graph_from_dict(d)
+    t = jsonio.tree_from_graph(g)
+    assert g.levels is None
+    assert [t.level(v) for v in range(t.n)] == [0] + [1] * 2 + [2] * 4 + [3] * 8
 
 
 def test_tree_from_graph_rejects_bad_levels():
@@ -127,31 +138,6 @@ def test_dot_and_csv():
     lines = csv.strip().split("\n")
     assert lines[0] == "ray,0,1"
     assert len(lines) == 3
-
-
-def test_experiment_config_round_trip():
-    cfg = ExperimentConfig(
-        name="promote",
-        seed=11,
-        output_dir="runs",
-        stages={"promote": {"rmax": 8}},
-    )
-    text = jsonio.dumps_canonical(cfg.to_dict())
-    back = ExperimentConfig.from_dict(cfg.to_dict())
-    assert back == cfg
-    assert jsonio.dumps_canonical(back.to_dict()) == text
-
-
-def test_experiment_config_rejects_bad_shapes():
-    base = {"name": "x", "seed": 0, "output_dir": ".", "stages": {}}
-    with pytest.raises(InputError, match="unknown"):
-        ExperimentConfig.from_dict({**base, "extra": 1})
-    with pytest.raises(InputError, match="missing"):
-        ExperimentConfig.from_dict({"name": "x"})
-    with pytest.raises(InputError):
-        ExperimentConfig.from_dict({**base, "seed": "0"})
-    with pytest.raises(InputError):
-        ExperimentConfig.from_dict({**base, "stages": {"generate": 3}})
 
 
 def test_canonical_dumps_is_stable(tmp_path):

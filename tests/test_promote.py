@@ -6,12 +6,9 @@ import pytest
 from bilip.cheeger import cheeger_family, family_sets
 from bilip.errors import InputError, NoBoundedMatching
 from bilip.promote import (
-    OneChain,
     ZeroChain,
     bilipschitz_constant,
-    chain_boundary,
     deficiency_chain,
-    make_one_chain,
     promote_matching,
     verify_promotion_consistency,
     sum_boundary_criterion,
@@ -61,53 +58,10 @@ def test_deficiency_bound_stable_in_depth():
     assert bounds == [2, 2]
 
 
-def test_one_chain_boundary():
-    g = gen_kary(2, 3).graph
-    edge = make_one_chain(g, 1, {(0, 1): 1})
-    assert chain_boundary(edge).coefficients == {0: 1, 1: -1}
-
-    # a directed cycle telescopes to zero (needs scale 2 in a tree)
-    cycle = make_one_chain(g, 2, {(0, 1): 1, (1, 3): 1, (3, 0): 1})
-    assert chain_boundary(cycle).coefficients == {}
-
-    path = make_one_chain(g, 1, {(1, 0): 1, (3, 1): 1})  # edges oriented downward
-    assert chain_boundary(path).coefficients == {3: 1, 0: -1}
-
-
-def test_one_chain_scale_validation():
-    g = gen_kary(2, 3).graph
-    with pytest.raises(InputError):
-        make_one_chain(g, 1, {(0, 3): 1})  # distance 2 at scale 1
-    with pytest.raises(InputError):
-        make_one_chain(g, 1, {(0, 0): 1})
-    ok = make_one_chain(g, 2, {(0, 3): 1})
-    assert isinstance(ok, OneChain) and ok.scale == 2
-
-
-def test_chain_boundary_is_linear():
-    g = gen_kary(2, 4).graph
-    rng = random.Random(5)
-    edges = list(g.edges())
-    for _ in range(20):
-        b1 = {e: rng.randint(-3, 3) for e in rng.sample(edges, 5)}
-        b2 = {e: rng.randint(-3, 3) for e in rng.sample(edges, 5)}
-        a = rng.randint(-4, 4)
-        combo = dict(b2)
-        for e, c in b1.items():
-            combo[e] = combo.get(e, 0) + a * c
-        left = chain_boundary(make_one_chain(g, 1, combo)).coefficients
-        d1 = chain_boundary(make_one_chain(g, 1, b1)).coefficients
-        d2 = chain_boundary(make_one_chain(g, 1, b2)).coefficients
-        right = dict(d2)
-        for v, c in d1.items():
-            right[v] = right.get(v, 0) + a * c
-        right = {v: c for v, c in right.items() if c != 0}
-        assert left == right
-
-
 def test_sum_boundary_zero_chain_trivial():
     t = gen_kary(2, 5)
-    report = sum_boundary_criterion(ZeroChain.make({}), t.trunc, 1, 1, FAMILIES, seed=0, C=Fraction(1, 100))
+    sets = family_sets(t.trunc, 1, FAMILIES, seed=0)
+    report = sum_boundary_criterion(ZeroChain.make({}), t.graph, sets, C=Fraction(1, 100))
     assert report.max_ratio == 0
     assert report.passed and report.witness is None
 
@@ -115,7 +69,7 @@ def test_sum_boundary_zero_chain_trivial():
 def test_sum_boundary_parent_map_ratio():
     t = gen_kary(2, 6)
     c = deficiency_chain(parent_map(t), t.graph, t.graph)
-    report = sum_boundary_criterion(c, t.trunc, 1, 1, ["balls"], seed=0)
+    report = sum_boundary_criterion(c, t.graph, family_sets(t.trunc, 1, ["balls"], seed=0))
     assert report.max_ratio <= 2
     assert report.max_ratio == 1  # computed; root balls realize equality
 
@@ -125,7 +79,7 @@ def test_sum_boundary_constant_function_consistent_with_cheeger():
     interior = t.trunc.interior(1)
     ones = ZeroChain.make({v: 1 for v in interior})
     sets = family_sets(t.trunc, 1, FAMILIES, seed=2)
-    report = sum_boundary_criterion(ones, t.trunc, 1, 1, sets=sets)
+    report = sum_boundary_criterion(ones, t.graph, sets)
     cert = cheeger_family(t.trunc, 1, FAMILIES, seed=2)
     assert report.max_ratio <= 1 / cert.best_ratio
 

@@ -10,7 +10,6 @@ from bilip.filling import build_filling, make_space, nearest_center_map
 from bilip.qimaps import (
     hierarchical_end_map,
     induced_vertex_map,
-    paired_depth,
     qi_constants,
     tree_vertex_map,
 )
@@ -21,7 +20,7 @@ def test_end_map_identity_shape():
     es = enumerate_ends(gen_kary(2, 4))
     em = hierarchical_end_map(es, es)
     assert em.bijective
-    assert em.ray_map() == {i: i for i in range(es.n)}
+    assert em.leaf_pairs == tuple(((i, i + 1), (i, i + 1)) for i in range(es.n))
 
 
 def test_end_map_binary_quaternary_bijection():
@@ -30,9 +29,8 @@ def test_end_map_binary_quaternary_bijection():
     em = hierarchical_end_map(ea, eb)
     assert ea.n == eb.n == 16
     assert em.bijective
-    mapping = em.ray_map()
-    assert sorted(mapping) == list(range(16))
-    assert sorted(mapping.values()) == list(range(16))
+    assert [a for a, _ in em.leaf_pairs] == [(i, i + 1) for i in range(16)]
+    assert sorted(b for _, b in em.leaf_pairs) == [(i, i + 1) for i in range(16)]
 
 
 def test_end_map_mismatched_cardinalities():
@@ -40,7 +38,6 @@ def test_end_map_mismatched_cardinalities():
     eb = enumerate_ends(gen_kary(2, 5))  # 32 rays
     em = hierarchical_end_map(ea, eb)
     assert not em.bijective
-    assert em.ray_map() is None
     # leaf pairs partition both sides in order
     a_cursor = b_cursor = 0
     for (alo, ahi), (blo, bhi) in em.leaf_pairs:
@@ -189,12 +186,3 @@ def test_tree_vertex_map_handles_dead_ends():
         # a dead-end vertex lands where its attach point lands
         anchor = core.core_to_orig[core.retraction[v]]
         assert vm.mapping[v] == vm.mapping[anchor]
-
-
-def test_paired_depth():
-    assert paired_depth(3, 7, 4) == 6
-    assert paired_depth(3, 9, 4) == 7
-    assert paired_depth(2, 4, 4) == 2
-    assert paired_depth(4, 3, 2) == 6
-    with pytest.raises(InputError):
-        paired_depth(1, 5, 2)

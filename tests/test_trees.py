@@ -4,7 +4,6 @@ from bilip.errors import ConstructionError, InputError
 from bilip.trees import (
     RootedTree,
     add_dead_end,
-    branch_subtree,
     check_pseudo_regular,
     check_visual,
     complete_core,
@@ -13,6 +12,7 @@ from bilip.trees import (
     gen_path,
     gen_random_pseudo_regular,
     graft_dead_ends,
+    is_complete,
 )
 
 
@@ -155,29 +155,27 @@ def test_check_visual_indeterminate_is_vacuous_on_trees():
             assert check_visual(t, c).indeterminate == ()
 
 
-def test_branch_subtree():
-    t = gen_kary(2, 3)
-    assert branch_subtree(t, 5, 5) == set(range(t.n))
-    leaf = t.n - 1
-    assert branch_subtree(t, leaf, t.root) == {leaf}
-    assert len(branch_subtree(t, 1, t.root)) == 7
-
-    # oracle: x lies on [v,y] iff the distances add up
-    g = t.graph
-    for x, v in ((3, 12), (1, 2), (6, 6), (4, 0)):
-        expect = {
-            y
-            for y in range(t.n)
-            if g.distance(v, x) + g.distance(x, y) == g.distance(v, y)
-        }
-        assert branch_subtree(t, x, v) == expect
-
-
 def test_complete_core_identity_on_complete_trees():
     for t in (gen_kary(2, 4), gen_path(5)):
         res = complete_core(t)
-        assert res.core.n == t.n
+        assert res.core is t
         assert all(res.retraction[v] == v for v in range(t.n))
+        assert res.core_to_orig == tuple(range(t.n))
+
+
+def test_is_complete_matches_core_vertices():
+    trees = [gen_kary(2, 4), gen_kary(3, 3), gen_path(6)]
+    trees += [gen_random_pseudo_regular(seed, 2, 7, 4) for seed in range(4)]
+    trees += [graft_dead_ends(gen_kary(2, 5), c, seed=c) for c in (1, 2, 3)]
+    trees += [graft_dead_ends(gen_kary(2, d), lambda l: l, 7) for d in (5, 8)]
+    trees += [add_dead_end(gen_kary(2, 4), v, 1) for v in (0, 3, 16)]
+    verdicts = []
+    for t in trees:
+        verdict = is_complete(t)
+        assert verdict == (len(core_vertices(t)) == t.n)
+        assert (complete_core(t).core is t) == verdict
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_complete_core_prunes_dead_end():
@@ -185,7 +183,7 @@ def test_complete_core_prunes_dead_end():
     res = complete_core(t)
     assert t.n - res.core.n == 2
     for v in (t.n - 2, t.n - 1):
-        assert res.retraction_distance(t, v) <= 2
+        assert t.graph.distance(v, res.core_to_orig[res.retraction[v]]) <= 2
         assert res.core_to_orig[res.retraction[v]] == 7
     # retraction restricted to the core is the identity
     for v in range(t.n - 2):
@@ -196,7 +194,7 @@ def test_complete_core_retraction_bounded_by_visual_constant():
     t = graft_dead_ends(gen_kary(2, 6), 2, seed=5)
     res = complete_core(t)
     assert check_visual(t, 2).passed
-    assert max(res.retraction_distance(t, v) for v in range(t.n)) <= 2
+    assert max(t.graph.distance(v, res.core_to_orig[res.retraction[v]]) for v in range(t.n)) <= 2
 
 
 def test_from_parents_validation():
