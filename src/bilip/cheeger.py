@@ -15,7 +15,7 @@ from math import comb
 from typing import Iterable, Optional
 
 from .errors import InputError
-from .graph import Truncation
+from .graph import Truncation, UdbgGraph
 
 FAMILY_NAMES = ("balls", "level-bands", "descendant-subtrees", "random-connected")
 
@@ -47,13 +47,6 @@ class CheegerCertificate:
             "family_description": self.family_description,
             "collar": self.collar,
         }
-
-
-def _ratio_key(g, vertex_set):
-    size = len(vertex_set)
-    boundary = len(g.boundary(vertex_set, 1))
-    ratio = Fraction(boundary, size)
-    return ratio, (ratio, size, tuple(sorted(vertex_set)))
 
 
 def cheeger_exact(t: Truncation, w: int, max_size: Optional[int] = None) -> CheegerCertificate:
@@ -220,22 +213,26 @@ def family_sets(t: Truncation, w: int, families: Iterable[str], seed: int) -> li
 def cheeger_family(t: Truncation, w: int, families: Iterable[str], seed: int) -> CheegerCertificate:
     """Upper estimate of the isoperimetric constant over generated families."""
     families = list(families)
-    return _family_certificate(t, w, families, seed, family_sets(t, w, families, seed))
+    sets = family_sets(t, w, families, seed)
+    return _family_certificate(w, families, seed, sets, _boundary_sizes(t.graph, sets))
+
+
+def _boundary_sizes(g: UdbgGraph, sets: list[frozenset[int]]) -> list[int]:
+    return [len(g.boundary(vertex_set, 1)) for vertex_set in sets]
 
 
 def _family_certificate(
-    t: Truncation, w: int, families: list[str], seed: int, sets: list[frozenset[int]]
+    w: int, families: list[str], seed: int, sets: list[frozenset[int]], boundaries: list[int]
 ) -> CheegerCertificate:
-    """The least-ratio set of family_sets(t, w, families, seed), given as `sets`."""
-    g = t.graph
+    """The least-ratio set of family_sets(t, w, families, seed), given as
+    `sets` with their boundary sizes; ties go to the smaller set, then
+    the lexicographically smaller one."""
     best_key = None
-    best = None
-    for vertex_set in sets:
-        ratio, key = _ratio_key(g, vertex_set)
+    for vertex_set, boundary in zip(sets, boundaries):
+        key = (Fraction(boundary, len(vertex_set)), len(vertex_set), tuple(sorted(vertex_set)))
         if best_key is None or key < best_key:
             best_key = key
-            best = (ratio, tuple(sorted(vertex_set)))
-    ratio, argmin = best
+    ratio, _, argmin = best_key
     return CheegerCertificate(
         best_ratio=ratio,
         argmin_set=argmin,

@@ -1,17 +1,27 @@
 """Multi-scale graphs over built-in compact model spaces.
 
 Vertices are centers of balls at geometric scales s^k; edges join balls
-that overlap. All adjacency decisions compare exact rationals, never
-floats. Levels index scales, with the single level-0 ball covering the
-whole space.
+that overlap. Levels index scales, with the single level-0 ball covering
+the whole space.
+
+Points stay exact rationals in the model-space API and in JSON. The
+kernels that compare distances (nets, wiring, nearest centers) write the
+points as integer numerators over one common denominator D, so a
+distance |x - y| / D is compared with a rational bound t as the integer
+|x - y| against floor(t * D) or ceil(t * D): exact, with no float and no
+Fraction in the inner loops. The points lie on a line, so each search
+bisects a sorted list of numerators for the window of candidates, plus
+the window across 0 = 1 on the circle.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Sequence
 
 from .errors import ConstructionError, InputError, ResolutionExhausted
 from .graph import UdbgGraph
@@ -99,14 +109,42 @@ def greedy_net(space: ModelSpace, s: Fraction, k: int, seed: int) -> list[int]:
             f"model; maximum usable level is {limit}",
             max_level=limit,
         )
+    den, nums = _numerators(space.points)
+    circle = space.kind == "circle"
+    separation = math.ceil(radius * den)  # d / den >= radius  <=>  d >= separation
     order = list(range(space.n))
     random.Random(seed).shuffle(order)
-    chosen: list[int] = []
+    chosen: list[int] = []  # numerators of the centers so far, sorted
+    index_of: dict[int, int] = {}
     for idx in order:
-        if all(space.metric(idx, c) >= radius for c in chosen):
-            chosen.append(idx)
-    chosen.sort(key=lambda i: space.points[i])
-    return chosen
+        x = nums[idx]
+        if not _within(chosen, x, separation - 1, den, circle):
+            insort(chosen, x)
+            index_of[x] = idx
+    return [index_of[x] for x in chosen]
+
+
+def _numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """A common denominator of the values, and each value's numerator over it."""
+    den = math.lcm(*{v.denominator for v in values})
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _gap(x: int, y: int, den: int, circle: bool) -> int:
+    """The model metric between numerators x and y, times den."""
+    d = abs(x - y)
+    return min(d, den - d) if circle else d
+
+
+def _within(ys: list[int], x: int, t: int, den: int, circle: bool) -> list[int]:
+    """Indices j of the sorted numerators ys with _gap(x, ys[j]) <= t."""
+    start, stop = bisect_left(ys, x - t), bisect_right(ys, x + t)
+    found = list(range(start, stop))
+    if circle:
+        # min(d, den - d) <= t also holds for d >= den - t, at both ends
+        found += range(min(bisect_right(ys, x - den + t), start))
+        found += range(max(bisect_left(ys, x + den - t), stop), len(ys))
+    return found
 
 
 @dataclass(frozen=True)
@@ -176,18 +214,20 @@ def build_filling(
         adjacency[a].append(b)
         adjacency[b].append(a)
 
-    for k, net in enumerate(nets):
-        horizontal = 2 * tau * s**k
-        for i in range(len(net)):
-            for j in range(i + 1, len(net)):
-                if space.metric(net[i], net[j]) <= horizontal:
+    den, nums = _numerators(space.points)
+    circle = space.kind == "circle"
+    xs = [[nums[idx] for idx in net] for net in nets]  # sorted: nets are in value order
+    for k, row in enumerate(xs):
+        horizontal = math.floor(2 * tau * s**k * den)
+        for i, x in enumerate(row):
+            for j in _within(row, x, horizontal, den, circle):
+                if j > i:
                     link(offsets[k] + i, offsets[k] + j)
         if k + 1 <= max_level:
-            vertical = tau * (s**k + s ** (k + 1))
-            for i, p in enumerate(net):
-                for j, q in enumerate(nets[k + 1]):
-                    if space.metric(p, q) <= vertical:
-                        link(offsets[k] + i, offsets[k + 1] + j)
+            vertical = math.floor(tau * (s**k + s ** (k + 1)) * den)
+            for i, x in enumerate(row):
+                for j in _within(xs[k + 1], x, vertical, den, circle):
+                    link(offsets[k] + i, offsets[k + 1] + j)
     graph = UdbgGraph(adjacency, root=0, levels=levels)  # raises if disconnected
     return Filling(
         graph=graph,
@@ -210,16 +250,16 @@ def filling_sanity(f: Filling) -> dict:
     per_level = [0] * (max_level + 1)
     for v in g.vertices():
         per_level[g.levels[v]] = max(per_level[g.levels[v]], g.degree(v))
-    deepest = [v for v in g.vertices() if g.levels[v] == max_level]
+    # v lies on a shortest root-to-deepest path exactly when a deepest
+    # vertex is reachable from v along edges that step one farther from
+    # the root; mark those vertices farthest first
     root_row = g.bfs_row(g.root)
-    on_ray = set()
-    for z in deepest:
-        z_row = g.bfs_row(z)
-        target = root_row[z]
-        for v in g.vertices():
-            if root_row[v] + z_row[v] == target:
-                on_ray.add(v)
-    to_ray = g.distances_from_set(on_ray)
+    on_ray = [False] * g.n
+    for v in sorted(g.vertices(), key=root_row.__getitem__, reverse=True):
+        on_ray[v] = g.levels[v] == max_level or any(
+            on_ray[u] for u in g.neighbors(v) if root_row[u] == root_row[v] + 1
+        )
+    to_ray = g.distances_from_set(v for v in g.vertices() if on_ray[v])
     return {
         "vertices": g.n,
         "level_sizes": f.level_sizes(),
@@ -235,20 +275,29 @@ def nearest_center_map(fa: Filling, fb: Filling) -> dict[int, int]:
     center of the other filling (ties to the smaller id)."""
     if fa.scale != fb.scale or fa.max_level != fb.max_level:
         raise InputError("fillings must share scale and level count")
-    by_level: dict[int, list[int]] = {}
-    for v in fb.graph.vertices():
-        by_level.setdefault(fb.graph.levels[v], []).append(v)
+    n_a = fa.graph.n
+    den, nums = _numerators(
+        [fa.center_value(v) for v in fa.graph.vertices()]
+        + [fb.center_value(w) for w in fb.graph.vertices()]
+    )
+    circle = fa.space.kind == "circle"
+    # per level of fb: the smallest id at each center value (ids ascend)
+    owner: dict[int, dict[int, int]] = {}
+    for w in fb.graph.vertices():
+        owner.setdefault(fb.graph.levels[w], {}).setdefault(nums[n_a + w], w)
+    values = {k: sorted(ids) for k, ids in owner.items()}
+    missing = set(fa.graph.levels) - set(values)
+    if missing:
+        raise InputError(f"the target filling has no center at level {min(missing)}")
     out = {}
     for v in fa.graph.vertices():
-        candidates = by_level[fa.graph.levels[v]]
-        best: Optional[int] = None
-        best_d: Optional[Fraction] = None
-        pa = fa.center_value(v)
-        for w in candidates:
-            d = abs(pa - fb.center_value(w))
-            if fa.space.kind == "circle":
-                d = min(d, 1 - d)
-            if best_d is None or d < best_d:
-                best, best_d = w, d
-        out[v] = best
+        k = fa.graph.levels[v]
+        ys, x = values[k], nums[v]
+        pos = bisect_left(ys, x)
+        # every nearest value is a bisect neighbour, or across the wrap
+        nearest = ys[max(pos - 1, 0) : pos + 1]
+        if circle:
+            nearest += (ys[0], ys[-1])
+        best = min(nearest, key=lambda y: (_gap(x, y, den, circle), owner[k][y]))
+        out[v] = owner[k][best]
     return out

@@ -180,6 +180,8 @@ def filling_from_graph(g: UdbgGraph, meta: dict) -> Filling:
         raise InputError("filling JSON lacks center metadata")
     if not _is_int(meta["resolution"]):
         raise InputError("filling JSON 'resolution' must be an integer")
+    if g.levels is None:
+        raise InputError("filling JSON needs a level on every vertex")
     if not isinstance(meta["centers"], list) or len(meta["centers"]) != g.n:
         raise InputError("filling JSON needs a list of one center per vertex")
     space = make_space(meta["space"], meta["resolution"])

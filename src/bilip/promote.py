@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InputError, NoBoundedMatching
-from .cheeger import _family_certificate, family_sets
+from .cheeger import _boundary_sizes, _family_certificate, family_sets
 from .graph import Truncation, UdbgGraph
 from .qimaps import VertexMap, _max_distortion
 from .trees import CheckResult
@@ -42,9 +42,6 @@ class ZeroChain:
 
     def value(self, v: int) -> int:
         return self.coefficients.get(v, 0)
-
-    def total(self) -> int:
-        return sum(self.coefficients.values())
 
     def sum_over(self, vertex_set: Iterable[int]) -> int:
         return sum(self.coefficients.get(v, 0) for v in vertex_set)
@@ -71,25 +68,15 @@ class CriterionReport:
     passed: Optional[bool]
     witness: Optional[tuple]
 
-    def as_json_dict(self) -> dict:
-        return {
-            "max_ratio": {
-                "num": self.max_ratio.numerator,
-                "den": self.max_ratio.denominator,
-            },
-            "tested_sets": self.tested_sets,
-            "passed": self.passed,
-            "witness": list(self.witness) if self.witness else None,
-        }
-
 
 def sum_boundary_criterion(
     c: ZeroChain,
-    g: UdbgGraph,
     sets: Sequence[frozenset[int]],
+    boundaries: Sequence[int],
     C=None,
 ) -> CriterionReport:
-    """|sum over S of c| against |boundary of S| over the given sets.
+    """|sum over S of c| against |boundary of S| over the given sets,
+    whose boundary sizes (at radius 1) come in `boundaries`.
 
     Reports the worst ratio (the empirical constant) and, when C is
     supplied, whether every tested set satisfies the bound, with the
@@ -99,9 +86,8 @@ def sum_boundary_criterion(
     max_ratio = Fraction(0)
     passed: Optional[bool] = None if bound is None else True
     witness = None
-    for vertex_set in sets:
+    for vertex_set, edge in zip(sets, boundaries):
         total = abs(c.sum_over(vertex_set))
-        edge = len(g.boundary(vertex_set, 1))
         if edge == 0:
             raise InputError("a tested set has empty boundary; it must be proper")
         ratio = Fraction(total, edge)
@@ -370,15 +356,16 @@ def verify_promotion_consistency(
     families = list(families)
     chain = deficiency_chain(vm, t_x.graph, t_y.graph)
     sets = family_sets(t_y, collar, families, seed)
-    cert = _family_certificate(t_y, collar, families, seed, sets)
+    boundaries = _boundary_sizes(t_y.graph, sets)
+    cert = _family_certificate(collar, families, seed, sets, boundaries)
     bound_a = chain.bound
     constant = Fraction(bound_a, 1) / cert.best_ratio
     if bound_a == 0:
-        report = sum_boundary_criterion(chain, t_y.graph, sets, C=Fraction(1))
+        report = sum_boundary_criterion(chain, sets, boundaries, C=Fraction(1))
         passed = report.max_ratio == 0
         witness = report.witness
     else:
-        report = sum_boundary_criterion(chain, t_y.graph, sets, C=constant)
+        report = sum_boundary_criterion(chain, sets, boundaries, C=constant)
         passed = bool(report.passed)
         witness = report.witness
     details = {

@@ -112,9 +112,6 @@ class VertexMap:
     def __getitem__(self, v: int) -> int:
         return self.mapping[v]
 
-    def image(self) -> set[int]:
-        return set(self.mapping.values())
-
 
 def induced_vertex_map(tree_t: RootedTree, tree_u: RootedTree, em: EndMap) -> VertexMap:
     """Deepest-shadow vertex map.

@@ -209,19 +209,6 @@ def gen_random_pseudo_regular(
     return RootedTree.from_parents(parents, budget=budget)
 
 
-def add_dead_end(t: RootedTree, vertex: int, length: int, budget: int = DEFAULT_VERTEX_BUDGET) -> RootedTree:
-    """Attach one nonbranching path of `length` new vertices at `vertex`."""
-    t.graph.check_vertex(vertex)
-    if length < 0:
-        raise InputError("length must be nonnegative")
-    parents = list(t.parent)
-    attach = vertex
-    for _ in range(length):
-        parents.append(attach)
-        attach = len(parents) - 1
-    return RootedTree.from_parents(parents, budget=budget)
-
-
 def graft_dead_ends(
     t: RootedTree,
     schedule: Schedule,

@@ -157,6 +157,27 @@ def test_promote_between_fillings(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_nearest_center_needs_every_level(tmp_path, capsys):
+    fa, fb = tmp_path / "fa.json", tmp_path / "fb.json"
+    for path, seed in ((fa, 1), (fb, 2)):
+        assert run("fill", "--space", "cantor13", "--levels", "3", "--scale", "1/3",
+                   "--seed", str(seed), "--out", str(path)) == 0
+    data = json.loads(fb.read_text())
+    del data["root"]  # without a root, levels may skip
+    empty_level = copy.deepcopy(data)
+    for entry in empty_level["vertices"]:
+        entry["level"] = 2 if entry["level"] == 1 else entry["level"]
+    unlabelled = copy.deepcopy(data)
+    for entry in unlabelled["vertices"]:
+        del entry["level"]
+    for edited, message in ((empty_level, "no center at level 1"),
+                            (unlabelled, "needs a level on every vertex")):
+        fb.write_text(json.dumps(edited))
+        assert run("promote", "--from", str(fa), "--to", str(fb), "--map", "nearest-center",
+                   "--out", str(tmp_path / "p.json")) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_verify_passes(tmp_path):
     a = gen_tree(tmp_path, "a.json", "--kind", "kary", "--k", "3", "--depth", "4")
     b = gen_tree(tmp_path, "b.json", "--kind", "kary", "--k", "4", "--depth", "3")
@@ -265,6 +286,17 @@ PINNED_REPORTS = (
     # fillings loaded once for both the graph and the nearest-center map
     ("promote --from fa.json --to fb.json --map nearest-center --collar 1 --out pf.json",
      "314885a7af28b3de37b8d6e2f6216b9fabbeefe2fec2bb3a444e0365b75612db"),
+    # the filling files themselves: the benchmark's 511-vertex Cantor
+    # filling, and grids whose nets and windows wrap on the circle
+    ("fill --space cantor13 --levels 9 --resolution 10 --scale 1/3 --tau 15/4 --seed 1 "
+     "--out fill10.json",
+     "3fcd0847a8dddf20faa590e5ef816aa679a8d232b69c8a053b9510616b7b7487"),
+    ("fill --space interval --levels 8 --resolution 512 --scale 1/2 --tau 1 --seed 3 "
+     "--out fi.json",
+     "f817cd8cf0cefb4cd668048bff8ce020e8840764d404e6aa694a15b766f0bba5"),
+    ("fill --space circle --levels 8 --resolution 512 --scale 1/2 --tau 3/2 --seed 3 "
+     "--out fc.json",
+     "57add1759191c1273cd2915e9bddc338e9b44397d51e90a6f899017fdb69c8d9"),
 )
 
 PINNED_INPUTS = (

@@ -15,13 +15,14 @@ from bilip.ends import (
 from bilip.errors import InputError
 from bilip.trees import (
     RootedTree,
-    add_dead_end,
     complete_core,
     gen_kary,
     gen_path,
     gen_random_pseudo_regular,
     graft_dead_ends,
 )
+
+from tree_fixtures import add_dead_end
 
 
 def lca_depth_oracle(t, leaf_a, leaf_b):

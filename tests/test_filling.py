@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from bilip import jsonio
 from bilip.errors import InputError, ResolutionExhausted
 from bilip.filling import (
+    Filling,
     build_filling,
     filling_sanity,
     greedy_net,
@@ -11,6 +14,7 @@ from bilip.filling import (
     max_usable_level,
     nearest_center_map,
 )
+from bilip.graph import UdbgGraph
 
 THIRD = Fraction(1, 3)
 HALF = Fraction(1, 2)
@@ -161,3 +165,190 @@ def test_build_filling_validation():
         build_filling(sp, Fraction(3, 2), Fraction(1), 2, seed=0)  # scale >= 1
     with pytest.raises(ResolutionExhausted):
         build_filling(sp, HALF, Fraction(1), 9, seed=0)
+
+
+# -- reference oracles: the quadratic Fraction loops the kernels replaced --
+
+
+def oracle_greedy_net(space, s, k, seed):
+    radius = s**k
+    order = list(range(space.n))
+    random.Random(seed).shuffle(order)
+    chosen = []
+    for idx in order:
+        if all(space.metric(idx, c) >= radius for c in chosen):
+            chosen.append(idx)
+    chosen.sort(key=lambda i: space.points[i])
+    return chosen
+
+
+def oracle_filling(space, s, tau, max_level, seed):
+    """Centers, edge set and the number of pairs exactly at a threshold."""
+    nets = []
+    for k in range(max_level + 1):
+        level_seed = seed * 1_000_003 + k
+        if k == 0:
+            order = list(range(space.n))
+            random.Random(level_seed).shuffle(order)
+            nets.append([order[0]])
+        else:
+            nets.append(oracle_greedy_net(space, s, k, level_seed))
+    ids = [(k, idx) for k, net in enumerate(nets) for idx in net]
+    edges, at_threshold = set(), 0
+    for a, (ka, p) in enumerate(ids):
+        for b in range(a + 1, len(ids)):
+            kb, q = ids[b]
+            if kb == ka:
+                bound = 2 * tau * s**ka
+            elif kb == ka + 1:
+                bound = tau * (s**ka + s**kb)
+            else:
+                continue
+            d = space.metric(p, q)
+            at_threshold += d == bound
+            if d <= bound:
+                edges.add((a, b))
+    return tuple(idx for _, idx in ids), edges, at_threshold
+
+
+def oracle_nearest_center_map(fa, fb):
+    by_level = {}
+    for v in fb.graph.vertices():
+        by_level.setdefault(fb.graph.levels[v], []).append(v)
+    out = {}
+    for v in fa.graph.vertices():
+        best, best_d = None, None
+        pa = fa.center_value(v)
+        for w in by_level[fa.graph.levels[v]]:
+            d = abs(pa - fb.center_value(w))
+            if fa.space.kind == "circle":
+                d = min(d, 1 - d)
+            if best_d is None or d < best_d:
+                best, best_d = w, d
+        out[v] = best
+    return out
+
+
+def oracle_visual_constant(f):
+    g = f.graph
+    root_row = g.bfs_row(g.root)
+    on_ray = set()
+    for z in g.vertices():
+        if g.levels[z] == f.max_level:
+            z_row = g.bfs_row(z)
+            on_ray.update(v for v in g.vertices() if root_row[v] + z_row[v] == root_row[z])
+    return max(g.distances_from_set(on_ray))
+
+
+ORACLE_SPACES = (
+    (make_space("cantor13", 7), THIRD, 5),
+    (make_space("interval", 96), HALF, 5),
+    (make_space("circle", 96), HALF, 5),
+    (make_space("circle", 45), Fraction(2, 5), 3),
+)
+
+
+def test_greedy_net_matches_quadratic_oracle():
+    for space, s, _ in ORACLE_SPACES + ((make_space("cantor13", 9), THIRD, 8),):
+        for k in range(max_usable_level(space, s) + 1):
+            for seed in (0, 3, 1_000_004):
+                assert greedy_net(space, s, k, seed) == oracle_greedy_net(space, s, k, seed)
+
+
+def test_build_filling_matches_quadratic_oracle():
+    ties = 0
+    for space, s, max_level in ORACLE_SPACES:
+        for tau in (Fraction(1), Fraction(3, 2), Fraction(15, 4)):
+            for seed in (0, 5):
+                f = build_filling(space, s, tau, max_level, seed=seed)
+                centers, edges, at_threshold = oracle_filling(space, s, tau, max_level, seed)
+                assert f.centers == centers
+                assert set(f.graph.edges()) == edges, (space.kind, tau, seed)
+                ties += at_threshold
+    assert ties > 0  # some pair sits exactly on a window edge
+
+
+def test_filling_sanity_matches_per_vertex_rows():
+    for space, s, max_level in ORACLE_SPACES:
+        for tau in (Fraction(1), Fraction(15, 4)):
+            f = build_filling(space, s, tau, max_level, seed=2)
+            assert filling_sanity(f)["visual_constant"] == oracle_visual_constant(f)
+    # fillings never put a neighbour at the same root distance on the way
+    # to the deepest level; random graphs leveled by depth do
+    rng = random.Random(3)
+    for _ in range(60):
+        n = rng.randint(2, 40)
+        adj = [set() for _ in range(n)]
+        for v in range(1, n):
+            u = rng.randrange(v)
+            adj[u].add(v)
+            adj[v].add(u)
+        for _ in range(n // 2):
+            u, v = rng.sample(range(n), 2)
+            adj[u].add(v)
+            adj[v].add(u)
+        g = UdbgGraph(adj, root=0)
+        g = UdbgGraph(adj, root=0, levels=g.bfs_row(0))
+        f = Filling(g, make_space("interval", n), HALF, Fraction(1), tuple(range(n)), seed=0)
+        assert filling_sanity(f)["visual_constant"] == oracle_visual_constant(f)
+
+
+def test_nearest_center_map_matches_quadratic_oracle():
+    for space, s, max_level in ORACLE_SPACES:
+        for tau in (Fraction(1), Fraction(15, 4)):
+            fs = [build_filling(space, s, tau, max_level, seed=seed) for seed in (0, 1, 2)]
+            for fa in fs:
+                for fb in fs:
+                    assert nearest_center_map(fa, fb) == oracle_nearest_center_map(fa, fb)
+    # different spaces: the circle against a grid holding both 0 and 1,
+    # and two Cantor resolutions with different denominators
+    for a, b, s in ((("circle", 64), ("interval", 64), HALF),
+                    (("interval", 64), ("circle", 64), HALF),
+                    (("cantor13", 7), ("cantor13", 8), THIRD)):
+        fa = build_filling(make_space(*a), s, Fraction(1), 4, seed=1)
+        fb = build_filling(make_space(*b), s, Fraction(1), 4, seed=2)
+        assert nearest_center_map(fa, fb) == oracle_nearest_center_map(fa, fb)
+
+
+def hand_edited(f, rng, values):
+    """f as a user might edit its file: vertex ids shuffled (so centers
+    are out of value order within a level) and every center moved to one
+    of a few values, so many centers share a value."""
+    data = jsonio.filling_to_dict(f)
+    perm = list(range(f.graph.n))
+    rng.shuffle(perm)
+    data["vertices"] = [{"id": perm[e["id"]], "level": e["level"]} for e in data["vertices"]]
+    data["edges"] = [[perm[u], perm[v]] for u, v in data["edges"]]
+    data["root"] = perm[data["root"]]
+    centers = [None] * f.graph.n
+    for v in f.graph.vertices():
+        centers[perm[v]] = jsonio.rational(rng.choice(values))
+    data["meta"]["centers"] = centers
+    return jsonio.filling_from_dict(data)
+
+
+def test_nearest_center_map_on_hand_edited_files():
+    rng = random.Random(11)
+    for kind, res in (("interval", 32), ("circle", 32), ("cantor13", 6)):
+        space = make_space(kind, res)
+        s = THIRD if kind == "cantor13" else HALF
+        fa = build_filling(space, s, Fraction(1), 4, seed=1)
+        fb = build_filling(space, s, Fraction(1), 4, seed=2)
+        for _ in range(6):
+            # four evenly spread values: sources midway between two are ties
+            values = [space.points[i] for i in range(0, space.n, max(space.n // 4, 1))]
+            ea, eb = hand_edited(fa, rng, values), hand_edited(fb, rng, values)
+            assert any(
+                ea.center_value(v) == ea.center_value(w)
+                for v in ea.graph.vertices() for w in ea.graph.vertices()
+                if v < w and ea.graph.levels[v] == ea.graph.levels[w]
+            )
+            for x, y in ((ea, eb), (eb, ea), (fa, eb), (ea, fb), (eb, eb)):
+                assert nearest_center_map(x, y) == oracle_nearest_center_map(x, y)
+
+
+def test_scale_rung_filling_level_sizes():
+    # cantor13 at resolution 11 with 10 levels, the scale-up filling
+    f = build_filling(make_space("cantor13", 11), THIRD, Fraction(15, 4), 9, seed=1)
+    assert f.level_sizes() == [2**k for k in range(10)]
+    assert filling_sanity(f)["vertices"] == 1023

@@ -19,6 +19,10 @@ from bilip.trees import gen_kary, gen_random_pseudo_regular, graft_dead_ends
 FAMILIES = ["balls", "level-bands", "random-connected"]
 
 
+def boundaries(g, sets):
+    return [len(g.boundary(s, 1)) for s in sets]
+
+
 def parent_map(t):
     return {v: (t.parent[v] if t.parent[v] is not None else v) for v in range(t.n)}
 
@@ -27,7 +31,7 @@ def test_zero_chain_normalization():
     c = ZeroChain.make({0: 2, 1: 0, 2: -5})
     assert c.coefficients == {0: 2, 2: -5}
     assert c.bound == 5
-    assert c.total() == -3
+    assert sum(c.coefficients.values()) == -3
     assert c.sum_over({1, 2}) == -5
     assert ZeroChain.make({}).bound == 0
 
@@ -43,7 +47,7 @@ def test_deficiency_identity_and_parent_map():
         assert c.value(v) == 1
     for v in range(15, 31):  # leaves
         assert c.value(v) == -1
-    assert c.total() == 0
+    assert sum(c.coefficients.values()) == 0
     assert c.bound == 2
 
 
@@ -53,7 +57,7 @@ def test_deficiency_bound_stable_in_depth():
         ta, tb = gen_kary(2, d_bin), gen_kary(4, d_quad)
         vm = tree_vertex_map(ta, tb)
         c = deficiency_chain(vm, ta.graph, tb.graph)
-        assert c.total() == ta.n - tb.n
+        assert sum(c.coefficients.values()) == ta.n - tb.n
         bounds.append(c.bound)
     assert bounds == [2, 2]
 
@@ -61,7 +65,8 @@ def test_deficiency_bound_stable_in_depth():
 def test_sum_boundary_zero_chain_trivial():
     t = gen_kary(2, 5)
     sets = family_sets(t.trunc, 1, FAMILIES, seed=0)
-    report = sum_boundary_criterion(ZeroChain.make({}), t.graph, sets, C=Fraction(1, 100))
+    report = sum_boundary_criterion(ZeroChain.make({}), sets, boundaries(t.graph, sets),
+                                    C=Fraction(1, 100))
     assert report.max_ratio == 0
     assert report.passed and report.witness is None
 
@@ -69,7 +74,8 @@ def test_sum_boundary_zero_chain_trivial():
 def test_sum_boundary_parent_map_ratio():
     t = gen_kary(2, 6)
     c = deficiency_chain(parent_map(t), t.graph, t.graph)
-    report = sum_boundary_criterion(c, t.graph, family_sets(t.trunc, 1, ["balls"], seed=0))
+    sets = family_sets(t.trunc, 1, ["balls"], seed=0)
+    report = sum_boundary_criterion(c, sets, boundaries(t.graph, sets))
     assert report.max_ratio <= 2
     assert report.max_ratio == 1  # computed; root balls realize equality
 
@@ -79,7 +85,7 @@ def test_sum_boundary_constant_function_consistent_with_cheeger():
     interior = t.trunc.interior(1)
     ones = ZeroChain.make({v: 1 for v in interior})
     sets = family_sets(t.trunc, 1, FAMILIES, seed=2)
-    report = sum_boundary_criterion(ones, t.graph, sets)
+    report = sum_boundary_criterion(ones, sets, boundaries(t.graph, sets))
     cert = cheeger_family(t.trunc, 1, FAMILIES, seed=2)
     assert report.max_ratio <= 1 / cert.best_ratio
 
@@ -224,3 +230,19 @@ def test_verify_promotion_consistency():
     expected = Fraction(2) / details["cheeger_best_ratio"]
     assert details["criterion_constant"] == expected
     assert details["max_ratio"] <= expected
+
+
+def test_verify_computes_each_boundary_once(monkeypatch):
+    from bilip.graph import UdbgGraph
+
+    t = gen_kary(2, 6)
+    calls = []
+    boundary = UdbgGraph.boundary
+
+    def counting_boundary(self, *args, **kwargs):
+        calls.append(args)
+        return boundary(self, *args, **kwargs)
+
+    monkeypatch.setattr(UdbgGraph, "boundary", counting_boundary)
+    _, details = verify_promotion_consistency(parent_map(t), t.trunc, t.trunc, 1, FAMILIES, seed=0)
+    assert len(calls) == details["tested_sets"] == len(family_sets(t.trunc, 1, FAMILIES, seed=0))

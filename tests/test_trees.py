@@ -3,7 +3,6 @@ import pytest
 from bilip.errors import ConstructionError, InputError
 from bilip.trees import (
     RootedTree,
-    add_dead_end,
     check_pseudo_regular,
     check_visual,
     complete_core,
@@ -14,6 +13,8 @@ from bilip.trees import (
     graft_dead_ends,
     is_complete,
 )
+
+from tree_fixtures import add_dead_end
 
 
 def rays_through_depth(t):
