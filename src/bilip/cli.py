@@ -27,7 +27,7 @@ from .filling import build_filling, make_space, nearest_center_map
 from .graph import Truncation
 from .promote import promote_matching, verify_promotion_consistency
 from .qimaps import qi_constants, tree_vertex_map
-from .trees import gen_kary, gen_random_pseudo_regular, graft_dead_ends
+from .trees import DEFAULT_VERTEX_BUDGET, gen_kary, gen_random_pseudo_regular, graft_dead_ends
 
 DEFAULT_FAMILIES = "balls,level-bands,random-connected"
 
@@ -122,11 +122,17 @@ def cmd_gen_tree(args) -> int:
 def cmd_fill(args) -> int:
     if args.levels < 1:
         raise InputError("need at least one level")
+    if args.levels > DEFAULT_VERTEX_BUDGET:  # every level holds a center
+        raise ConstructionError(f"vertex budget exceeded: {args.levels} levels")
     max_level = args.levels - 1
-    scale = Fraction(args.scale) if args.scale else (
-        Fraction(1, 3) if args.space == "cantor13" else Fraction(1, 2)
-    )
-    if args.resolution:
+    if args.scale is None:
+        scale = Fraction(1, 3) if args.space == "cantor13" else Fraction(1, 2)
+    else:
+        scale = jsonio.parse_rational(args.scale)
+    if not 0 < scale < 1:
+        raise InputError("scale must lie strictly between 0 and 1")
+    tau = jsonio.parse_rational(args.tau)
+    if args.resolution is not None:
         resolution = args.resolution
     elif args.space == "cantor13":
         resolution = args.levels + 1
@@ -134,7 +140,7 @@ def cmd_fill(args) -> int:
         need = Fraction(2) / scale**max_level
         resolution = int(need) + 1
     space = make_space(args.space, resolution)
-    filling = build_filling(space, scale, Fraction(args.tau), max_level, seed=args.seed)
+    filling = build_filling(space, scale, tau, max_level, seed=args.seed)
     params = {
         "space": args.space,
         "levels": args.levels,

@@ -57,7 +57,7 @@ def make_space(kind: str, resolution: int) -> ModelSpace:
     if kind == "cantor13":
         if resolution < 1:
             raise InputError("cantor13 resolution must be >= 1")
-        if 2**resolution > POINT_BUDGET:
+        if resolution > POINT_BUDGET.bit_length() - 1:  # 2**resolution > POINT_BUDGET
             raise ConstructionError(f"point budget exceeded at resolution {resolution}")
         pts = [Fraction(0)]
         for i in range(1, resolution + 1):

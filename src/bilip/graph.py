@@ -3,8 +3,10 @@
 Vertices are dense integers 0..n-1. Graphs are immutable after
 construction. Local queries (ball, sphere, boundary and the ball family
 of the Cheeger module) share one lazily grown BFS whose visited set is
-local to the call, so each costs O(|ball| * mu) rather than O(n). Full distance rows behind bfs_row
-and distance are cached per source.
+local to the call, so each costs O(|ball| * mu) rather than O(n).
+Distances keep no cache: a rooted tree walks its parent array, any other
+graph grows BFS layers only until the targets are reached, and bfs_row
+computes a fresh full row on every call.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
 
@@ -28,7 +30,7 @@ class UdbgGraph:
     level by at most 1.
     """
 
-    __slots__ = ("_adj", "root", "levels", "mu", "_rows", "_tree_parent", "_tree_depth", "_is_tree")
+    __slots__ = ("_adj", "root", "levels", "mu", "_tree_parent", "_tree_depth", "_is_tree")
 
     def __init__(
         self,
@@ -44,7 +46,6 @@ class UdbgGraph:
         self.levels = tuple(levels) if levels is not None else None
         max_deg = max((len(a) for a in adj), default=0)
         self.mu = max_deg if mu is None else mu
-        self._rows: dict[int, list[int]] = {}
         self._is_tree: Optional[bool] = None
         self._tree_parent: Optional[list[int]] = None
         self._tree_depth: Optional[list[int]] = None
@@ -69,7 +70,7 @@ class UdbgGraph:
                     raise InputError(f"adjacency not symmetric at edge {v}-{u}")
         if max(len(a) for a in self._adj) > self.mu:
             raise InputError("degree bound mu exceeded")
-        row = self._bfs(0)
+        row = self._bfs((0,))
         if UNREACHED in row:
             raise InputError("graph is not connected")
         if self.root is not None:
@@ -125,17 +126,25 @@ class UdbgGraph:
 
     # -- metric ----------------------------------------------------------
 
-    def _bfs(self, source: int) -> list[int]:
-        dist = [UNREACHED] * len(self._adj)
-        dist[source] = 0
-        q = deque([source])
-        while q:
-            v = q.popleft()
-            d = dist[v]
-            for u in self._adj[v]:
-                if dist[u] == UNREACHED:
-                    dist[u] = d + 1
-                    q.append(u)
+    def _bfs(self, sources: Iterable[int]) -> list[int]:
+        """Distances to the nearest of the validated sources, layer by layer."""
+        adj = self._adj
+        dist = [UNREACHED] * len(adj)
+        frontier = []
+        for s in sources:
+            if dist[s] == UNREACHED:
+                dist[s] = 0
+                frontier.append(s)
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for v in frontier:
+                for u in adj[v]:
+                    if dist[u] == UNREACHED:
+                        dist[u] = d
+                        nxt.append(u)
+            frontier = nxt
         return dist
 
     def bfs_layers(self, sources: Iterable[int]) -> Iterator[list[int]]:
@@ -169,13 +178,9 @@ class UdbgGraph:
         return set().union(*layers), layers
 
     def bfs_row(self, source: int) -> list[int]:
-        """Distances from source to every vertex, cached per source."""
+        """Distances from source to every vertex, computed afresh."""
         self.check_vertex(source)
-        row = self._rows.get(source)
-        if row is None:
-            row = self._bfs(source)
-            self._rows[source] = row
-        return row
+        return self._bfs((source,))
 
     def _tree_arrays(self):
         if self._tree_parent is None:
@@ -200,37 +205,68 @@ class UdbgGraph:
             raise InputError("graph is not a rooted tree")
         return self._tree_arrays()
 
+    def tree_walk(self) -> Optional[Callable[[int, int], int]]:
+        """d(u, v) on a rooted tree, walking both ends up to their common
+        ancestor, for callers that validated the ids; None on any other
+        graph."""
+        if self.root is None or not self.is_tree:
+            return None
+        parent, depth = self._tree_arrays()
+
+        def walk(u: int, v: int) -> int:
+            du, dv = depth[u], depth[v]
+            total = du + dv
+            while du > dv:
+                u = parent[u]
+                du -= 1
+            while dv > du:
+                v = parent[v]
+                dv -= 1
+            while u != v:
+                u = parent[u]
+                v = parent[v]
+                du -= 1
+            return total - 2 * du
+
+        return walk
+
+    def _farthest(self, source: int, targets: set[int]) -> int:
+        """max d(source, t) over a nonempty set of validated targets, growing
+        BFS layers from the source only until every target is reached."""
+        left = len(targets)
+        for d, layer in enumerate(self.bfs_layers((source,))):
+            left -= len(targets.intersection(layer))
+            if not left:
+                break
+        return d
+
     def distance(self, u: int, v: int) -> int:
         """Graph-metric distance (edge count of a shortest path)."""
         self.check_vertex(u)
         self.check_vertex(v)
-        if u == v:
-            return 0
-        if self.root is not None and self.is_tree:
-            parent, depth = self._tree_arrays()
-            du, dv = depth[u], depth[v]
-            steps = 0
-            while du > dv:
-                u = parent[u]
-                du -= 1
-                steps += 1
-            while dv > du:
-                v = parent[v]
-                dv -= 1
-                steps += 1
-            while u != v:
-                u = parent[u]
-                v = parent[v]
-                steps += 2
-            return steps
-        row = self._rows.get(u)
-        if row is None:
-            row = self._rows.get(v)
-            if row is not None:
-                return row[u]
-            row = self.bfs_row(u)
-            return row[v]
-        return row[v]
+        walk = self.tree_walk()
+        return walk(u, v) if walk is not None else self._farthest(u, {v})
+
+    def max_distance(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """max d(a, b) over the pairs, 0 when there are none.
+
+        A rooted tree walks each pair as it streams past; any other graph
+        grows one BFS per distinct first vertex, only as far as its
+        farthest partner.
+        """
+        walk = self.tree_walk()
+        partners: dict[int, set[int]] = {}
+        best = 0
+        for a, b in pairs:
+            self.check_vertex(a)
+            self.check_vertex(b)
+            if walk is None:
+                partners.setdefault(a, set()).add(b)
+            else:
+                d = walk(a, b)
+                if d > best:
+                    best = d
+        return max((self._farthest(a, bs) for a, bs in partners.items()), default=best)
 
     def ball(self, v: int, r: int) -> set[int]:
         """Closed metric ball {u : d(u, v) <= r}."""
@@ -249,22 +285,12 @@ class UdbgGraph:
 
     def distances_from_set(self, sources: Iterable[int]) -> list[int]:
         """Multi-source BFS row: d(v, sources) for every v."""
-        dist = [UNREACHED] * len(self._adj)
-        q = deque()
+        sources = list(sources)
+        if not sources:
+            raise InputError("source set is empty")
         for s in sources:
             self.check_vertex(s)
-            if dist[s] != 0:
-                dist[s] = 0
-                q.append(s)
-        if not q:
-            raise InputError("source set is empty")
-        while q:
-            v = q.popleft()
-            for u in self._adj[v]:
-                if dist[u] == UNREACHED:
-                    dist[u] = dist[v] + 1
-                    q.append(u)
-        return dist
+        return self._bfs(sources)
 
     def boundary(self, vertex_set: Iterable[int], r: int = 1) -> set[int]:
         """r-boundary: vertices outside the set at distance <= r from it.

@@ -299,9 +299,7 @@ def promote_matching(
         _push_unmatched_toward_sphere(g_y, match_x, match_y, radj, from_sphere)
         unmatched = tuple(sorted(y for y in g_y.vertices() if y not in match_y))
         confinement = max((from_sphere[y] for y in unmatched), default=0)
-        distance = max(
-            (g_y.distance(mapping[x], y) for x, y in match_x.items()), default=0
-        )
+        distance = g_y.max_distance((mapping[x], y) for x, y in match_x.items())
         assert distance <= r, "matched outside the candidate radius"
         bilip = bilipschitz_constant(
             match_x, g_x, g_y, mode=bilip_mode, seed=seed

@@ -14,8 +14,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from typing import Union
+from itertools import repeat
+from typing import Iterator, Union
 
 from .errors import InputError
 from .ends import EndSpace, leaf_intervals, split_at_minimum
@@ -190,18 +190,49 @@ def _max_distortion(
     ratios and are skipped; an injective map has none. Returns the
     constant and the distinct (d_X, d_Y) values the stream met, at most
     (diam X + 1) * (diam Y + 1) of them.
+
+    Every id is checked once, up front. Each side then measures by what
+    its graph is: a rooted tree walks its parent array per pair, any
+    other graph reads one BFS row per source, dropped after that source.
+    Exact mode takes the pairs source by source; sampled mode keeps the
+    draws a stream when both sides are trees, and otherwise groups them
+    by source so that each distinct source costs one row per side.
     """
     if mode not in ("exact", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
+    if mode == "sampled" and samples < 1:
+        raise InputError("samples must be at least 1")
+    for u, w in mapping.items():
+        g_x.check_vertex(u)
+        g_y.check_vertex(w)
     domain = sorted(mapping)
+    images = [mapping[u] for u in domain]
+    walk_x, walk_y = g_x.tree_walk(), g_y.tree_walk()
+
+    def columns(i, xs, ys):
+        return zip(_column(g_x, walk_x, domain[i], xs), _column(g_y, walk_y, images[i], ys))
+
+    seen: set[tuple[int, int]] = set()
     if mode == "exact":
-        pairs = combinations(domain, 2)
+        for i in range(len(domain) - 1):
+            seen.update(columns(i, domain[i + 1:], images[i + 1:]))
     else:
         rng = random.Random(seed)
         n = len(domain)
-        draws = ((domain[rng.randrange(n)], domain[rng.randrange(n)]) for _ in range(samples))
-        pairs = ((u, v) for u, v in draws if u != v)
-    seen = {(g_x.distance(u, v), g_y.distance(mapping[u], mapping[v])) for u, v in pairs}
+        draws = ((rng.randrange(n), rng.randrange(n)) for _ in range(samples))
+        if walk_x is not None and walk_y is not None:
+            seen.update(
+                (walk_x(domain[i], domain[j]), walk_y(images[i], images[j]))
+                for i, j in draws
+                if i != j
+            )
+        else:
+            partners: dict[int, list[int]] = {}
+            for i, j in draws:
+                if i != j:
+                    partners.setdefault(i, []).append(j)
+            for i, js in partners.items():
+                seen.update(columns(i, [domain[j] for j in js], [images[j] for j in js]))
     up_n, up_d = 1, 1  # max d_Y/d_X, compared by cross-multiplying
     dn_n, dn_d = 1, 1  # max d_X/d_Y
     for a, b in seen:
@@ -211,6 +242,14 @@ def _max_distortion(
             if a * dn_d > dn_n * b:
                 dn_n, dn_d = a, b
     return max(Fraction(up_n, up_d), Fraction(dn_n, dn_d), Fraction(1)), seen
+
+
+def _column(g: UdbgGraph, walk, source: int, targets: list[int]) -> Iterator[int]:
+    """d(source, t) for each target: a tree walk per pair, or lookups in
+    one BFS row from source that lives only as long as the iterator."""
+    if walk is not None:
+        return map(walk, repeat(source), targets)
+    return map(g.bfs_row(source).__getitem__, targets)
 
 
 def qi_constants(
@@ -237,9 +276,5 @@ def qi_constants(
     d_add = max([Fraction(0), *(max(b - c_mult * a, a / c_mult - b) for a, b in seen)])
     image = set(mapping.values())
     surj_radius = max(g_y.distances_from_set(image))
-    c_step = 0
-    for u, v in g_x.edges():
-        d = g_y.distance(mapping[u], mapping[v])
-        if d > c_step:
-            c_step = d
+    c_step = g_y.max_distance((mapping[u], mapping[v]) for u, v in g_x.edges())
     return QiConstants(c_mult=c_mult, d_add=d_add, surj_radius=surj_radius, c_step=c_step)

@@ -142,9 +142,14 @@ def gen_kary(k: int, depth: int, budget: int = DEFAULT_VERTEX_BUDGET) -> RootedT
         raise InputError("k must be at least 2")
     if depth < 1:
         raise InputError("depth must be at least 1")
-    total = (k ** (depth + 1) - 1) // (k - 1)
-    if total > budget:
-        raise ConstructionError(f"vertex budget exceeded: {total} > {budget}")
+    total = level_size = 1
+    for level in range(1, depth + 1):  # stops at the budget, whatever the depth
+        level_size *= k
+        total += level_size
+        if total > budget:
+            raise ConstructionError(
+                f"vertex budget exceeded at level {level}: {total} > {budget}"
+            )
     parents: list[Optional[int]] = [None]
     level_start = 0
     level_size = 1
@@ -197,14 +202,14 @@ def gen_random_pseudo_regular(
             else:
                 c = rng.randint(1, mu - 1)
             child_gap = 0 if c >= 2 else gap + 1
+            if len(parents) + c > budget:  # before a huge mu allocates anything
+                raise ConstructionError(
+                    f"vertex budget exceeded at level {level}: {len(parents) + c} > {budget}"
+                )
             for _ in range(c):
                 child = len(parents)
                 parents.append(v)
                 next_frontier.append((child, child_gap))
-            if len(parents) > budget:
-                raise ConstructionError(
-                    f"vertex budget exceeded at level {level}: {len(parents)} > {budget}"
-                )
         frontier = next_frontier
     return RootedTree.from_parents(parents, budget=budget)
 

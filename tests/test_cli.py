@@ -51,6 +51,36 @@ def test_fill_level_sizes(tmp_path, capsys):
     assert sorted(levels) == [0] + [1] * 2 + [2] * 4 + [3] * 8
 
 
+def test_fill_bad_values_are_input_errors(tmp_path, capsys):
+    base = ["fill", "--space", "cantor13", "--levels", "3", "--out", str(tmp_path / "f.json")]
+    for extra, message in (
+        (["--scale", "x"], "bad rational value 'x'"),
+        (["--scale", "1/0"], "bad rational value '1/0'"),
+        (["--tau", "x"], "bad rational value 'x'"),
+        (["--tau", "1/0"], "bad rational value '1/0'"),
+        (["--scale", "0"], "scale must lie strictly between 0 and 1"),
+        (["--resolution", "0"], "resolution must be >= 1"),
+        (["--levels", str(10**30)], "vertex budget exceeded"),
+        (["--resolution", str(10**30)], "point budget exceeded"),
+    ):
+        assert run(*base, *extra) == 2, extra
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, (extra, err)
+    assert not (tmp_path / "f.json").exists()
+
+
+def test_qi_sampled_constants_need_a_sample(tmp_path, capsys):
+    # 511 vertices is above qi's exact limit, so the sampled stream runs
+    t = gen_tree(tmp_path, "t.json", "--kind", "kary", "--k", "2", "--depth", "8")
+    for samples in ("0", "-5"):
+        assert run("qi", "--from", str(t), "--to", str(t), "--samples", samples,
+                   "--out", str(tmp_path / "qi.json")) == 2
+        assert capsys.readouterr().err == "error: samples must be at least 1\n"
+    assert run("qi", "--from", str(t), "--to", str(t), "--samples", "1",
+               "--out", str(tmp_path / "qi.json")) == 0
+    capsys.readouterr()
+
+
 def test_cheeger_certificate(tmp_path):
     tree = gen_tree(tmp_path, "t.json", "--kind", "kary", "--k", "2", "--depth", "4")
     out = tmp_path / "cert.json"
@@ -286,6 +316,10 @@ PINNED_REPORTS = (
     # fillings loaded once for both the graph and the nearest-center map
     ("promote --from fa.json --to fb.json --map nearest-center --collar 1 --out pf.json",
      "314885a7af28b3de37b8d6e2f6216b9fabbeefe2fec2bb3a444e0365b75612db"),
+    # a non-tree promotion that first succeeds at r = 1: balls, the
+    # distance to the map and exact distortion all run on fillings
+    ("promote --from i0.json --to i2.json --map nearest-center --collar 1 --out pi.json",
+     "8164c9ac7a2c18e9712c211ab3d745ab9c0ac9d4f23df11c7859372f8b0dc2e8"),
     # the filling files themselves: the benchmark's 511-vertex Cantor
     # filling, and grids whose nets and windows wrap on the circle
     ("fill --space cantor13 --levels 9 --resolution 10 --scale 1/3 --tau 15/4 --seed 1 "
@@ -303,6 +337,8 @@ PINNED_INPUTS = (
     "gen-tree --kind stretched --depth 6 --seed 7 --out s6.json",
     "fill --space cantor13 --levels 5 --scale 1/3 --tau 15/4 --seed 1 --out fa.json",
     "fill --space cantor13 --levels 5 --scale 1/3 --tau 15/4 --seed 2 --out fb.json",
+    "fill --space interval --levels 6 --scale 1/2 --tau 3/2 --seed 0 --out i0.json",
+    "fill --space interval --levels 6 --scale 1/2 --tau 3/2 --seed 2 --out i2.json",
 )
 
 
@@ -469,3 +505,38 @@ def test_perturbed_json_keeps_the_exit_code_contract(tmp_path, data, capsys):
         }[command]
     assert run(*map(str, argv)) in (0, 1, 2)
     capsys.readouterr()
+
+
+# One valid command line per generator path; the perturbation below swaps
+# one option value for a bad one. The tree file is VALID_TREE (15
+# vertices), small enough for exact qi and exact Cheeger.
+VALID_ARGV = (
+    "fill --space cantor13 --levels 3 --scale 1/3 --tau 15/4 --resolution 5 --seed 1 --out o.json",
+    "fill --space interval --levels 3 --scale 1/2 --tau 1 --seed 1 --out o.json",
+    "gen-tree --kind kary --k 2 --depth 3 --out o.json",
+    "gen-tree --kind pseudo-regular --depth 3 --branch-K 2 --mu 4 --seed 1 --out o.json",
+    "gen-tree --kind grafted --k 2 --depth 3 --dead-end-len 2 --seed 1 --out o.json",
+    "gen-tree --kind stretched --k 2 --depth 3 --seed 1 --out o.json",
+    "qi --from t.json --to t.json --samples 100 --seed 0 --out o.json",
+    "promote --from t.json --to t.json --map identity --rstart 0 --rmax 2 --collar 1 --seed 0 "
+    "--out o.json",
+    "cheeger --graph t.json --collar 1 --exact-max 3 --seed 0 --out o.json",
+    "cheeger --graph t.json --collar 1 --families balls,level-bands --seed 0 --out o.json",
+)
+BAD_VALUES = ("x", "1/0", "0", "-1", "", str(10**30))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_perturbed_argv_keeps_the_exit_code_contract(tmp_path, monkeypatch, data, capsys):
+    """Huge sizes must be refused by the vertex and point budgets before
+    any work starts; a hang here is a budget checked too late."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.json").write_text(json.dumps(VALID_TREE))
+    argv = data.draw(st.sampled_from(VALID_ARGV)).split()
+    values = [i for i in range(1, len(argv)) if argv[i - 1].startswith("--")]
+    i = data.draw(st.sampled_from(values))
+    argv[i] = data.draw(st.sampled_from(BAD_VALUES))
+    assert run(*argv) in (0, 1, 2), argv
+    assert "Traceback" not in capsys.readouterr().err, argv

@@ -51,7 +51,7 @@ def test_distance_matches_naive_bfs_and_metric_axioms():
         assert g.distance(u, w) <= duv + g.distance(v, w)
 
 
-def test_tree_fast_path_agrees_with_row_cache():
+def test_tree_walk_agrees_with_bfs_path():
     t = gen_kary(3, 4)
     g = t.graph
     plain = UdbgGraph([g.neighbors(v) for v in g.vertices()])  # no root: BFS path
@@ -175,3 +175,45 @@ def test_bounded_queries_match_full_rows():
                 dist = g.distances_from_set(sources)
                 expected = {u for u in g.vertices() if 1 <= dist[u] <= r}
                 assert g.boundary(sources, r) == expected
+
+
+def test_distances_match_independent_rows():
+    rng, graphs = kernel_instances()
+    for g in graphs:
+        rows = [g.bfs_row(v) for v in g.vertices()]
+        for u in rng.sample(range(g.n), min(g.n, 5)):
+            assert rows[u] == [naive_bfs_distance(g, u, v) for v in g.vertices()]
+        walk = g.tree_walk()
+        assert (walk is None) == (g.root is None)
+        for u in g.vertices():
+            for v in g.vertices():
+                assert g.distance(u, v) == rows[u][v]
+                if walk is not None:
+                    assert walk(u, v) == rows[u][v]
+        for _ in range(5):
+            pairs = [(rng.randrange(g.n), rng.randrange(g.n)) for _ in range(rng.randint(0, 30))]
+            assert g.max_distance(pairs) == max((rows[a][b] for a, b in pairs), default=0)
+            assert g.max_distance(iter(pairs)) == g.max_distance(pairs)
+        with pytest.raises(InputError):
+            g.max_distance([(0, g.n)])
+        with pytest.raises(InputError):
+            g.max_distance([(-1, 0)])
+
+
+def test_non_tree_distance_stops_at_the_target_layer(monkeypatch):
+    n = 400
+    cycle = UdbgGraph([[(v - 1) % n, (v + 1) % n] for v in range(n)])
+    taken = []
+    layers = UdbgGraph.bfs_layers
+
+    def counting_layers(self, sources):
+        for layer in layers(self, sources):
+            taken.append(layer)
+            yield layer
+
+    monkeypatch.setattr(UdbgGraph, "bfs_layers", counting_layers)
+    assert cycle.distance(0, 3) == 3
+    assert len(taken) == 4  # layers 0..3 of 201
+    taken.clear()
+    assert cycle.max_distance([(0, 1), (0, 5), (7, 7)]) == 5
+    assert len(taken) == 6 + 1  # layers 0..5 from vertex 0, layer 0 from vertex 7

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from bilip.cheeger import cheeger_family, family_sets
 from bilip.errors import InputError, NoBoundedMatching
+from bilip.filling import build_filling, make_space, nearest_center_map
 from bilip.promote import (
     ZeroChain,
     bilipschitz_constant,
@@ -202,6 +204,23 @@ def test_bilipschitz_constant():
     s1 = bilipschitz_constant(swap, g, g, mode="sampled", seed=3, samples=4000)
     assert s1 == bilipschitz_constant(swap, g, g, mode="sampled", seed=3, samples=4000)
     assert s1 <= exact
+
+
+def test_exact_bilipschitz_holds_no_row_cache():
+    """Exact distortion on the benchmark's 511-vertex Cantor fillings keeps
+    one BFS row per side alive at a time, about 60 KB at peak; a cache of
+    every source's row holds 1,020 rows of 511 ints, over 4 MB."""
+    space = make_space("cantor13", 10)
+    fa, fb = (build_filling(space, Fraction(1, 3), Fraction(15, 4), 8, seed=s) for s in (1, 2))
+    vm = nearest_center_map(fa, fb)
+    tracemalloc.start()
+    try:
+        constant = bilipschitz_constant(vm, fa.graph, fb.graph, mode="exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert constant == 2
+    assert peak < 256 * 1024, peak
 
 
 def test_promote_generic_random_tree_pair():

@@ -7,13 +7,16 @@ import pytest
 from bilip.ends import enumerate_ends, leaf_intervals
 from bilip.errors import InputError
 from bilip.filling import build_filling, make_space, nearest_center_map
+from bilip.graph import UdbgGraph
+from bilip.promote import bilipschitz_constant
 from bilip.qimaps import (
+    _max_distortion,
     hierarchical_end_map,
     induced_vertex_map,
     qi_constants,
     tree_vertex_map,
 )
-from bilip.trees import complete_core, gen_kary, graft_dead_ends
+from bilip.trees import complete_core, gen_kary, gen_path, graft_dead_ends
 
 
 def test_end_map_identity_shape():
@@ -129,26 +132,27 @@ def test_qi_constants_sampled_mode_deterministic():
         qi_constants({0: 0}, t.graph, t.graph)  # not total
 
 
+def reference_pairs(domain, mode, seed, samples):
+    """The pair stream of the distortion kernel, as a plain list."""
+    if mode == "exact":
+        return list(combinations(domain, 2))
+    rng = random.Random(seed)
+    draws = [(domain[rng.randrange(len(domain))], domain[rng.randrange(len(domain))])
+             for _ in range(samples)]
+    return [(u, v) for u, v in draws if u != v]
+
+
 def two_pass_qi_constants(mapping, g_x, g_y, mode, seed, samples):
     """Reference (c_mult, d_add): a distortion pass over the pair stream,
     then a second pass over the same stream for the additive slack."""
-    domain = sorted(mapping)
-
-    def pairs():
-        if mode == "exact":
-            return combinations(domain, 2)
-        rng = random.Random(seed)
-        draws = [(domain[rng.randrange(len(domain))], domain[rng.randrange(len(domain))])
-                 for _ in range(samples)]
-        return [(u, v) for u, v in draws if u != v]
-
+    pairs = reference_pairs(sorted(mapping), mode, seed, samples)
     c_mult = Fraction(1)
-    for u, v in pairs():
+    for u, v in pairs:
         a, b = g_x.distance(u, v), g_y.distance(mapping[u], mapping[v])
         if b:
             c_mult = max(c_mult, Fraction(b, a), Fraction(a, b))
     d_add = Fraction(0)
-    for u, v in pairs():
+    for u, v in pairs:
         a, b = g_x.distance(u, v), g_y.distance(mapping[u], mapping[v])
         d_add = max(d_add, b - c_mult * a, Fraction(a, 1) / c_mult - b)
     return c_mult, d_add
@@ -168,12 +172,56 @@ def test_qi_constants_match_two_pass_reference():
         (tree_vertex_map(gen_kary(3, 4), gen_kary(2, 6)).mapping,
          gen_kary(3, 4).graph, gen_kary(2, 6).graph),
         (nearest_center_map(fa, fb), fa.graph, fb.graph),  # not a tree
+        # mixed sides: a tree walks while a filling reads rows, both ways
+        ({v: v % fa.graph.n for v in range(63)}, gen_kary(2, 5).graph, fa.graph),
+        ({v: v for v in range(fb.graph.n)}, fb.graph, gen_kary(2, 4).graph),
     ]
     for mapping, g_x, g_y in cases:
         for mode, seed in (("exact", 0), ("sampled", 0), ("sampled", 7)):
             qc = qi_constants(mapping, g_x, g_y, mode=mode, seed=seed, samples=3000)
             expected = two_pass_qi_constants(mapping, g_x, g_y, mode, seed, 3000)
             assert (qc.c_mult, qc.d_add) == expected, (mode, seed)
+
+
+def test_distortion_stream_meets_the_reference_values():
+    """The kernel's distinct (d_X, d_Y) values equal those of per-pair
+    distance calls, on small graphs where one missed pair shows."""
+    tree = gen_kary(2, 2).graph
+    graphs = [
+        tree,
+        UdbgGraph([tree.neighbors(v) for v in tree.vertices()]),  # same tree, no root
+        gen_path(4).graph,
+        UdbgGraph([[(v - 1) % 5, (v + 1) % 5] for v in range(5)]),  # a cycle
+        UdbgGraph([[1, 2, 3], [0, 2], [0, 1, 3], [0, 2]]),
+    ]
+    rng = random.Random(5)
+    for trial in range(150):
+        g_x, g_y = rng.choice(graphs), rng.choice(graphs)
+        domain = rng.sample(range(g_x.n), rng.randint(2, g_x.n))
+        mapping = {u: rng.randrange(g_y.n) for u in domain}  # often not injective
+        for mode, seed in (("exact", 0), ("sampled", 3), ("sampled", 8)):
+            expected = {(g_x.distance(u, v), g_y.distance(mapping[u], mapping[v]))
+                        for u, v in reference_pairs(sorted(mapping), mode, seed, 12)}
+            assert _max_distortion(mapping, g_x, g_y, mode, seed, 12)[1] == expected, trial
+
+
+def test_sampled_distortion_needs_a_sample():
+    t = gen_kary(2, 4)
+    ident = {v: v for v in range(t.n)}
+    for samples in (0, -5):
+        with pytest.raises(InputError, match="samples must be at least 1"):
+            qi_constants(ident, t.graph, t.graph, mode="sampled", samples=samples)
+        with pytest.raises(InputError, match="samples must be at least 1"):
+            bilipschitz_constant(ident, t.graph, t.graph, mode="sampled", samples=samples)
+    # exact mode measures every pair and reads no sample count
+    assert qi_constants(ident, t.graph, t.graph, samples=0).c_mult == 1
+
+
+def test_distortion_rejects_unknown_ids():
+    t = gen_kary(2, 4)
+    for bad in ({**{v: v for v in range(t.n)}, 3: t.n}, {**{v: v for v in range(1, t.n)}, -1: 0}):
+        with pytest.raises(InputError, match="unknown vertex id"):
+            bilipschitz_constant(bad, t.graph, t.graph, mode="exact")
 
 
 def test_tree_vertex_map_handles_dead_ends():
