@@ -6,14 +6,18 @@ of the Cheeger module) share one lazily grown BFS whose visited set is
 local to the call, so each costs O(|ball| * mu) rather than O(n).
 Distances keep no cache: a rooted tree walks its parent array, any other
 graph grows BFS layers only until the targets are reached, and bfs_row
-computes a fresh full row on every call.
+computes a fresh full row on every call. All-pairs work goes through
+bit_bfs, which runs one BFS per bit of a big-integer mask, so a block of
+W sources costs one integer OR per edge per round and O(W * n) bits.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import islice
+from operator import or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
@@ -181,6 +185,24 @@ class UdbgGraph:
         """Distances from source to every vertex, computed afresh."""
         self.check_vertex(source)
         return self._bfs((source,))
+
+    def bit_bfs(self, seeds: Sequence[int]) -> Iterator[list[int]]:
+        """Breadth-first search from many sources at once, one per mask bit.
+
+        seeds[v] is the mask of the sources placed on v. Yields R_0 =
+        seeds, then R_d with R_d[w] = R_{d-1}[w] | (OR of R_{d-1}[x] over
+        the neighbours x of w), so bit k of R_d[w] is set exactly when
+        source k lies within d of w; stops after the last R_d that differs
+        from R_{d-1}. A round is one integer OR per edge end.
+        """
+        adj = self._adj
+        reach = list(seeds)
+        while True:
+            yield reach
+            grown = [reduce(or_, map(reach.__getitem__, nbrs), r) for r, nbrs in zip(reach, adj)]
+            if grown == reach:
+                return
+            reach = grown
 
     def _tree_arrays(self):
         if self._tree_parent is None:

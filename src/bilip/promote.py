@@ -264,7 +264,9 @@ def promote_matching(
     must fail before a radius is accepted, certifying minimality within
     [r_start, r_max]; NoBoundedMatching past r_max signals failing
     hypotheses (no linear isoperimetric inequality, or a map too far from
-    any bijection), which is the expected negative-control outcome.
+    any bijection), which is the expected negative-control outcome. It
+    is raised as soon as a failing radius has every candidate ball equal
+    to all of Y, since no larger radius changes the candidates.
     """
     mapping = vm.mapping if isinstance(vm, VertexMap) else dict(vm)
     g_x, g_y = t_x.graph, t_y.graph
@@ -290,6 +292,8 @@ def promote_matching(
         unsat = sum(1 for x in interior if x not in match_x)
         if unsat:
             last_unsat = unsat
+            if all(len(ball) == g_y.n for ball in balls.values()):
+                break  # every ball is all of Y: larger radii match the same
             continue
         _max_matching(xs_all, adj_of, match_x, match_y)
         radj: dict[int, list[int]] = {}

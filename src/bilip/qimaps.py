@@ -179,6 +179,9 @@ class QiConstants:
         }
 
 
+BLOCK = 128  # sources per bit-parallel block of the exact distortion
+
+
 def _max_distortion(
     mapping: dict, g_x: UdbgGraph, g_y: UdbgGraph, mode: str, seed: int, samples: int
 ) -> tuple[Fraction, set[tuple[int, int]]]:
@@ -191,10 +194,12 @@ def _max_distortion(
     constant and the distinct (d_X, d_Y) values the stream met, at most
     (diam X + 1) * (diam Y + 1) of them.
 
-    Every id is checked once, up front. Each side then measures by what
-    its graph is: a rooted tree walks its parent array per pair, any
-    other graph reads one BFS row per source, dropped after that source.
-    Exact mode takes the pairs source by source; sampled mode keeps the
+    Every id is checked once, up front. Exact mode measures all pairs
+    with bit-parallel BFS over blocks of BLOCK sources (see
+    _block_values), on trees and other graphs alike, in O(BLOCK * n)
+    memory. Sampled mode measures each side by what its graph is: a
+    rooted tree walks its parent array per pair, any other graph reads
+    one BFS row per source, dropped after that source. It keeps the
     draws a stream when both sides are trees, and otherwise groups them
     by source so that each distinct source costs one row per side.
     """
@@ -207,32 +212,12 @@ def _max_distortion(
         g_y.check_vertex(w)
     domain = sorted(mapping)
     images = [mapping[u] for u in domain]
-    walk_x, walk_y = g_x.tree_walk(), g_y.tree_walk()
-
-    def columns(i, xs, ys):
-        return zip(_column(g_x, walk_x, domain[i], xs), _column(g_y, walk_y, images[i], ys))
-
-    seen: set[tuple[int, int]] = set()
     if mode == "exact":
-        for i in range(len(domain) - 1):
-            seen.update(columns(i, domain[i + 1:], images[i + 1:]))
+        seen: set[tuple[int, int]] = set()
+        for s in range(0, len(domain) - 1, BLOCK):
+            _block_values(domain, images, g_x, g_y, s, seen)
     else:
-        rng = random.Random(seed)
-        n = len(domain)
-        draws = ((rng.randrange(n), rng.randrange(n)) for _ in range(samples))
-        if walk_x is not None and walk_y is not None:
-            seen.update(
-                (walk_x(domain[i], domain[j]), walk_y(images[i], images[j]))
-                for i, j in draws
-                if i != j
-            )
-        else:
-            partners: dict[int, list[int]] = {}
-            for i, j in draws:
-                if i != j:
-                    partners.setdefault(i, []).append(j)
-            for i, js in partners.items():
-                seen.update(columns(i, [domain[j] for j in js], [images[j] for j in js]))
+        seen = _sampled_values(domain, images, g_x, g_y, seed, samples)
     up_n, up_d = 1, 1  # max d_Y/d_X, compared by cross-multiplying
     dn_n, dn_d = 1, 1  # max d_X/d_Y
     for a, b in seen:
@@ -242,6 +227,109 @@ def _max_distortion(
             if a * dn_d > dn_n * b:
                 dn_n, dn_d = a, b
     return max(Fraction(up_n, up_d), Fraction(dn_n, dn_d), Fraction(1)), seen
+
+
+def _block_values(
+    domain: list[int], images: list[int], g_x: UdbgGraph, g_y: UdbgGraph, s: int,
+    seen: set[tuple[int, int]],
+) -> None:
+    """Add to seen the distinct (d_X(u_i, u_j), d_Y(y_i, y_j)) over the
+    index pairs i < j whose source i lies in the block of BLOCK starting
+    at s, bit k standing for source s + k; the targets are all j >= s.
+    X side: bit_bfs from the block's vertices; the sphere R_a & ~R_{a-1}
+    at target u_j holds the sources at X distance a, and is folded into
+    bit-sliced planes, bit k of plane t being bit t of d_X(u_{s+k}, u_j).
+    Y side: bit_bfs from the block's images, streamed; the sphere S at y_j
+    in round b holds the sources i < j with d_Y = b, and descending the
+    planes of target j from the top bit splits S into its X distances a,
+    each met as (a, b). At b = 0, S holds the other sources sharing j's
+    image, so a map that is not injective yields its (a, 0) values.
+    One call per block, so that a block's planes are dropped before the
+    next block's are built.
+    """
+    width = min(BLOCK, len(domain) - s)
+    planes = _distance_planes(g_x, domain, s, width)
+    top = range(len(planes) - 1, -1, -1)
+    seeds = [0] * g_y.n
+    for k in range(width):
+        seeds[images[s + k]] |= 1 << k
+    targets = images[s:]
+    prev = [0] * g_y.n
+    for b, reach in enumerate(g_y.bit_bfs(seeds)):
+        for jj, y in enumerate(targets):
+            sphere = reach[y] & ~prev[y]
+            if jj < width:
+                sphere &= (1 << jj) - 1  # sources i < j only
+            if not sphere:
+                continue
+            parts = [(sphere, 0)]
+            for t in top:
+                plane = planes[t][jj]
+                if not plane & sphere:
+                    continue
+                split = []
+                for part, a in parts:
+                    far = part & plane
+                    if far:
+                        split.append((far, a | 1 << t))
+                        if far != part:
+                            split.append((part ^ far, a))
+                    else:
+                        split.append((part, a))
+                parts = split
+            seen.update((a, b) for _, a in parts)
+        prev = reach
+
+
+def _distance_planes(g_x: UdbgGraph, domain: list[int], s: int, width: int) -> list[list[int]]:
+    """planes[t][j - s]: bit k set when bit t of d_X(domain[s + k], domain[j])
+    is set, for every target j >= s and source k < width."""
+    seeds = [0] * g_x.n
+    for k in range(width):
+        seeds[domain[s + k]] = 1 << k
+    targets = domain[s:]
+    planes: list[list[int]] = []
+    prev = seeds
+    for a, reach in enumerate(g_x.bit_bfs(seeds)):
+        if not a:
+            continue
+        if a.bit_length() > len(planes):
+            planes.append([0] * len(targets))
+        rows = [planes[t] for t in range(a.bit_length()) if a >> t & 1]
+        for jj, u in enumerate(targets):
+            sphere = reach[u] & ~prev[u]
+            if sphere:
+                for row in rows:
+                    row[jj] |= sphere
+        prev = reach
+    return planes
+
+
+def _sampled_values(
+    domain: list[int], images: list[int], g_x: UdbgGraph, g_y: UdbgGraph, seed: int, samples: int
+) -> set[tuple[int, int]]:
+    """Distinct (d_X, d_Y) over `samples` seeded draws of index pairs."""
+    walk_x, walk_y = g_x.tree_walk(), g_y.tree_walk()
+    rng = random.Random(seed)
+    n = len(domain)
+    draws = ((rng.randrange(n), rng.randrange(n)) for _ in range(samples))
+    if walk_x is not None and walk_y is not None:
+        return {
+            (walk_x(domain[i], domain[j]), walk_y(images[i], images[j]))
+            for i, j in draws
+            if i != j
+        }
+    partners: dict[int, list[int]] = {}
+    for i, j in draws:
+        if i != j:
+            partners.setdefault(i, []).append(j)
+    seen: set[tuple[int, int]] = set()
+    for i, js in partners.items():
+        seen.update(zip(
+            _column(g_x, walk_x, domain[i], [domain[j] for j in js]),
+            _column(g_y, walk_y, images[i], [images[j] for j in js]),
+        ))
+    return seen
 
 
 def _column(g: UdbgGraph, walk, source: int, targets: list[int]) -> Iterator[int]:

@@ -155,6 +155,36 @@ def test_promote_failure_exit_code(tmp_path, capsys):
     assert json.loads(out.read_text())["promoted"] is False
 
 
+def test_promote_stops_once_balls_cover_the_target(tmp_path, capsys, monkeypatch):
+    """Sending every vertex to one target vertex fails at every radius; once
+    the ball around it is all of Y no larger radius can change that, so a
+    huge --rmax fails at once with the report of a small one."""
+    from bilip.graph import UdbgGraph
+
+    x = gen_tree(tmp_path, "k3d6.json", "--kind", "kary", "--k", "3", "--depth", "6")
+    y = gen_tree(tmp_path, "k2d4.json", "--kind", "kary", "--k", "2", "--depth", "4")
+    to_root = tmp_path / "to_root.json"
+    to_root.write_text(json.dumps({"map": {str(v): 0 for v in range(1093)}}))
+    calls = []
+    ball = UdbgGraph.ball
+    monkeypatch.setattr(UdbgGraph, "ball", lambda g, v, r: calls.append(r) or ball(g, v, r))
+    reports = {}
+    for rmax in ("10", "1000000"):
+        out = tmp_path / f"p{rmax}.json"
+        assert run("promote", "--from", str(x), "--to", str(y), "--map", str(to_root),
+                   "--rmax", rmax, "--out", str(out)) == 1
+        reports[rmax] = json.loads(out.read_text())
+    capsys.readouterr()
+    assert calls == [1, 2, 3, 4] * 2  # the root's ball is all of Y at radius 4
+    small, huge = reports["10"], reports["1000000"]
+    assert (small["r_max"], huge["r_max"]) == (10, 1000000)
+    assert huge["config"]["stages"]["promote"].pop("rmax") == 1000000
+    assert small["config"]["stages"]["promote"].pop("rmax") == 10
+    del small["r_max"], huge["r_max"]
+    assert small == huge
+    assert small["promoted"] is False and small["unsaturated"] > 0
+
+
 def test_promote_identity_size_mismatch(tmp_path, capsys):
     a = gen_tree(tmp_path, "a.json", "--kind", "kary", "--k", "2", "--depth", "3")
     b = gen_tree(tmp_path, "b.json", "--kind", "kary", "--k", "2", "--depth", "4")

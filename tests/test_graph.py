@@ -217,3 +217,20 @@ def test_non_tree_distance_stops_at_the_target_layer(monkeypatch):
     taken.clear()
     assert cycle.max_distance([(0, 1), (0, 5), (7, 7)]) == 5
     assert len(taken) == 6 + 1  # layers 0..5 from vertex 0, layer 0 from vertex 7
+
+
+def test_bit_bfs_rounds_match_full_rows():
+    """Bit k of round d at w is set exactly when source k is within d of w,
+    sources may share a vertex, and the rounds stop at the last change."""
+    rng, graphs = kernel_instances()
+    for g in graphs:
+        rows = [g.bfs_row(v) for v in g.vertices()]
+        sources = [rng.randrange(g.n) for _ in range(rng.randint(1, 9))]
+        seeds = [0] * g.n
+        for k, v in enumerate(sources):
+            seeds[v] |= 1 << k
+        rounds = list(g.bit_bfs(seeds))
+        assert len(rounds) == max(max(rows[v]) for v in set(sources)) + 1
+        for d, reach in enumerate(rounds):
+            assert reach == [sum(1 << k for k, v in enumerate(sources) if rows[v][w] <= d)
+                             for w in g.vertices()]

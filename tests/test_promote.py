@@ -206,12 +206,12 @@ def test_bilipschitz_constant():
     assert s1 <= exact
 
 
-def test_exact_bilipschitz_holds_no_row_cache():
-    """Exact distortion on the benchmark's 511-vertex Cantor fillings keeps
-    one BFS row per side alive at a time, about 60 KB at peak; a cache of
-    every source's row holds 1,020 rows of 511 ints, over 4 MB."""
-    space = make_space("cantor13", 10)
-    fa, fb = (build_filling(space, Fraction(1, 3), Fraction(15, 4), 8, seed=s) for s in (1, 2))
+def exact_bilipschitz_peak(resolution, levels):
+    """(constant, tracemalloc peak) of exact bilipschitz_constant between
+    the cantor13 fillings of seeds 1 and 2."""
+    space = make_space("cantor13", resolution)
+    fa, fb = (build_filling(space, Fraction(1, 3), Fraction(15, 4), levels, seed=s)
+              for s in (1, 2))
     vm = nearest_center_map(fa, fb)
     tracemalloc.start()
     try:
@@ -219,8 +219,26 @@ def test_exact_bilipschitz_holds_no_row_cache():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return constant, peak
+
+
+def test_exact_bilipschitz_holds_no_row_cache():
+    """Exact distortion on the benchmark's 511-vertex Cantor fillings holds
+    the bit-sliced X distances of one block of sources and two rounds of
+    one bit-parallel BFS, about 200 KB at peak; a cache of every source's
+    BFS row holds 1,020 rows of 511 ints, over 4 MB."""
+    constant, peak = exact_bilipschitz_peak(10, 8)
     assert constant == 2
     assert peak < 256 * 1024, peak
+
+
+def test_exact_bilipschitz_memory_grows_linearly():
+    """Doubling the fillings to 1,023 vertices about doubles the peak, to
+    about 400 KB, as the O(BLOCK * n) bound says; one block as wide as the
+    domain holds O(n^2) bits, over 1 MB here."""
+    constant, peak = exact_bilipschitz_peak(11, 9)
+    assert constant == 2
+    assert peak < 512 * 1024, peak
 
 
 def test_promote_generic_random_tree_pair():

@@ -9,7 +9,9 @@ from bilip.errors import InputError
 from bilip.filling import build_filling, make_space, nearest_center_map
 from bilip.graph import UdbgGraph
 from bilip.promote import bilipschitz_constant
+from bilip import qimaps
 from bilip.qimaps import (
+    BLOCK,
     _max_distortion,
     hierarchical_end_map,
     induced_vertex_map,
@@ -203,6 +205,50 @@ def test_distortion_stream_meets_the_reference_values():
             expected = {(g_x.distance(u, v), g_y.distance(mapping[u], mapping[v]))
                         for u, v in reference_pairs(sorted(mapping), mode, seed, 12)}
             assert _max_distortion(mapping, g_x, g_y, mode, seed, 12)[1] == expected, trial
+
+
+def random_chorded_graph(n, chords, seed):
+    """A random spanning tree on n vertices plus `chords` extra edges."""
+    rng = random.Random(seed)
+    adj = [set() for _ in range(n)]
+    for v in range(1, n):
+        u = rng.randrange(v)
+        adj[u].add(v)
+        adj[v].add(u)
+    while chords:
+        u, v = rng.sample(range(n), 2)
+        if v not in adj[u]:
+            adj[u].add(v)
+            adj[v].add(u)
+            chords -= 1
+    return UdbgGraph(adj)
+
+
+def all_rows_values(mapping, rows_x, rows_y):
+    """Distinct (d_X, d_Y) over all pairs u < v of the domain, by lookups
+    in the full BFS rows of either graph."""
+    return {(rows_x[u][v], rows_y[mapping[u]][mapping[v]])
+            for u, v in combinations(sorted(mapping), 2)}
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, BLOCK])
+def test_exact_distortion_across_block_edges(width, monkeypatch):
+    """Domains of width - 1, width, width + 1 and 2 * width + 1 sources put
+    pairs on both sides of every block edge; subset domains and maps with
+    many coinciding images included."""
+    monkeypatch.setattr(qimaps, "BLOCK", width)
+    chorded = random_chorded_graph(2 * BLOCK + 40, 60, seed=4)
+    tree = gen_kary(3, 5).graph  # 364 vertices, rooted
+    rows = {g: [g.bfs_row(v) for v in g.vertices()] for g in (chorded, tree)}
+    rng = random.Random(width)
+    for g_x, g_y in ((chorded, tree), (tree, chorded)):
+        for size in (width - 1, width, width + 1, 2 * width + 1):
+            domain = rng.sample(range(g_x.n), size)
+            injective = dict(zip(domain, rng.sample(range(g_y.n), size)))
+            crowded = {u: rng.randrange(40) for u in domain}  # not injective
+            for mapping in (injective, crowded):
+                expected = all_rows_values(mapping, rows[g_x], rows[g_y])
+                assert _max_distortion(mapping, g_x, g_y, "exact", 0, 1)[1] == expected, size
 
 
 def test_sampled_distortion_needs_a_sample():
