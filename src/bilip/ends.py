@@ -23,16 +23,21 @@ from .errors import InputError
 from .trees import CheckResult, RootedTree, is_complete
 
 
+def _require_complete(t: RootedTree) -> None:
+    """Reject a truncation with a branch that stops short of depth D."""
+    if not is_complete(t):
+        raise InputError(
+            "tree has vertices off all full-depth rays; apply complete_core first"
+        )
+
+
 def leaf_intervals(t: RootedTree) -> tuple[list[int], list[int]]:
     """Per-vertex half-open interval of full-depth leaves below it (DFS order).
 
     Requires a geodesically complete truncation (every branch reaches
     depth D); use complete_core first otherwise.
     """
-    if not is_complete(t):
-        raise InputError(
-            "tree has vertices off all full-depth rays; apply complete_core first"
-        )
+    _require_complete(t)
     lo = [0] * t.n
     hi = [0] * t.n
     counter = 0
@@ -160,7 +165,7 @@ class EndSpace:
 
 def enumerate_ends(t: RootedTree) -> EndSpace:
     """One ray per depth-D leaf, in planar order, with agreement depths."""
-    leaf_intervals(t)  # completeness gate
+    _require_complete(t)
     children = t.children
     rays: list[tuple[int, ...]] = [] if children[t.root] else [(t.root,)]
     # pending[d] iterates the unvisited children of path[d]; no recursion,

@@ -312,6 +312,18 @@ def test_construction_budget_error_exit_code(tmp_path, capsys):
 # generated in the test directory; relative paths keep the embedded config
 # independent of that directory.
 PINNED_REPORTS = (
+    # the generated trees themselves, one per generator kind; x and y are
+    # also the inputs of the first promote below
+    ("gen-tree --kind kary --k 3 --depth 6 --out x.json",
+     "71c90cae4c9dc65c442e683d87ffed55ca9f6e5ce8cb2995027a509763443224"),
+    ("gen-tree --kind kary --k 4 --depth 5 --out y.json",
+     "6d877646fa74d1d473c70c8f3398fa0c484db5e16bb203ba3c4a9be5000cd14b"),
+    ("gen-tree --kind stretched --depth 6 --seed 7 --out s6.json",
+     "3392ddee5055514093fa6ee4f48862c584001e8560538571bb5a05ffdb4ac2e4"),
+    ("gen-tree --kind grafted --k 3 --depth 5 --dead-end-len 3 --seed 2 --out g.json",
+     "68da26712fa013fff0a96f3d76fa0cfee94809cf8e195588f13b4f8e0f16447a"),
+    ("gen-tree --kind pseudo-regular --depth 6 --branch-K 2 --mu 4 --seed 3 --out pr.json",
+     "72fc8afa005af5f1f11c2fa243992d08e96eda744577edb2abc538b66fdd562c"),
     # 3-ary d6 -> 4-ary d5 leaves 475 unmatched targets on the truncation
     # sphere and 7 one level in, so the confinement sweep's pruning of
     # depth-0 targets is exercised
@@ -364,7 +376,6 @@ PINNED_REPORTS = (
 )
 
 PINNED_INPUTS = (
-    "gen-tree --kind stretched --depth 6 --seed 7 --out s6.json",
     "fill --space cantor13 --levels 5 --scale 1/3 --tau 15/4 --seed 1 --out fa.json",
     "fill --space cantor13 --levels 5 --scale 1/3 --tau 15/4 --seed 2 --out fb.json",
     "fill --space interval --levels 6 --scale 1/2 --tau 3/2 --seed 0 --out i0.json",
@@ -374,8 +385,8 @@ PINNED_INPUTS = (
 
 def test_promote_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    for name, k, depth in (("x.json", 3, 6), ("y.json", 4, 5), ("k3d4.json", 3, 4),
-                           ("k3d7.json", 3, 7), ("k4d6.json", 4, 6), ("k2d6.json", 2, 6)):
+    for name, k, depth in (("k3d4.json", 3, 4), ("k3d7.json", 3, 7), ("k4d6.json", 4, 6),
+                           ("k2d6.json", 2, 6)):
         assert run("gen-tree", "--kind", "kary", "--k", str(k), "--depth", str(depth),
                    "--out", name) == 0
     for command in PINNED_INPUTS:

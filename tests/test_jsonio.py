@@ -1,6 +1,10 @@
+import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bilip import jsonio
 from bilip.errors import InputError
@@ -147,3 +151,83 @@ def test_canonical_dumps_is_stable(tmp_path):
     first = path.read_bytes()
     jsonio.save_json(path, jsonio.load_json(path))
     assert path.read_bytes() == first
+
+
+# Characters that could break a %-template or the re-indented stdlib
+# fallback: format markers, braces, quotes, escapes and control
+# characters, and non-ASCII text, one character beyond the BMP.
+TEXTS = st.text(st.sampled_from('%{}"\\\n\t\x00\x1f\x7f\u00e9\u03bb\U0001f600 ad') | st.characters(),
+                max_size=5)
+INTS = st.integers(-(2**200), 2**200) | st.sampled_from([0, -1, 2**63, -(2**63) - 1])
+SCALARS = st.none() | st.booleans() | INTS | st.floats() | TEXTS
+
+
+@st.composite
+def rows(draw, cells):
+    """A list shaped like the rows of a graph file: equal-width int rows
+    (edges) or dicts with one key order (vertices, rationals), sometimes
+    spoiled by a stray cell (a bool, null, float, string or any of
+    cells), a ragged row, another key order, or a key added or dropped."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        width = draw(st.integers(0, 3))
+        out = [draw(st.lists(INTS, min_size=width, max_size=width)) for _ in range(n)]
+    else:
+        keys = draw(st.lists(TEXTS, min_size=1, max_size=3, unique=True))
+        orders = [draw(st.permutations(keys))] * n
+        if draw(st.booleans()):
+            orders = [draw(st.permutations(keys)) for _ in range(n)]
+        out = [{key: draw(INTS) for key in order} for order in orders]
+    spoil = draw(st.sampled_from(["none", "cell", "row"]))
+    row = out[draw(st.integers(0, n - 1))]
+    if spoil == "cell" and row:
+        at = draw(st.sampled_from(sorted(row) if isinstance(row, dict) else range(len(row))))
+        row[at] = draw(st.booleans() | st.none() | st.floats() | TEXTS | cells)
+    elif spoil == "row" and isinstance(row, dict):
+        if row and draw(st.booleans()):
+            del row[draw(st.sampled_from(sorted(row)))]
+        else:
+            row[draw(TEXTS)] = draw(INTS)
+    elif spoil == "row":
+        row.extend(draw(st.lists(INTS, min_size=1, max_size=2)))
+    return out
+
+
+JSON_VALUES = st.recursive(
+    SCALARS | rows(SCALARS) | st.lists(INTS | st.none()) | st.dictionaries(TEXTS, INTS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | rows(inner)
+    | st.dictionaries(TEXTS, inner, max_size=4)
+    | st.dictionaries(INTS, inner, max_size=3),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES)
+@example([[0, 1], [1, True]])
+@example([[1, 2], [3]])
+@example([1, None, -(2**100), 2**64])
+@example([float("nan"), float("inf"), -float("inf"), 0.5])
+@example([{"a": 1, "b": 2}, {"b": 3, "a": 4}])
+@example([{"a": 1, "b": 2}, {"a": 3}])
+@example([{"a": 1}, {"a": 2, "b": 3}])
+@example([{"a": 1}, {"a": False}])
+@example({"%d": [{"%s{": 1}, {"%s{": 2}], '"\n\x00\u00e9': "%(x)s", "k": {"%": 1}})
+@example({"e": [], "f": {}, "g": [[], []], "h": [{}, {}], "t": (1, [2])})
+@example({1: {"a": [1]}, 10: None, 9: (1, 2)})
+def test_canonical_dumps_matches_the_stdlib_writer(value):
+    assert jsonio.dumps_canonical(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_canonical_dumps_memory_stays_near_the_text_size():
+    tree = jsonio.tree_to_dict(gen_kary(4, 7))
+    tracemalloc.start()
+    try:
+        text = jsonio.dumps_canonical(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the stdlib writer peaks at 8.9 times the text length here
+    assert peak < 4 * len(text)
