@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .errors import InputError, NoBoundedMatching
 from .cheeger import _boundary_sizes, _family_certificate, family_sets
 from .graph import Truncation, UdbgGraph
-from .qimaps import VertexMap, _max_distortion
+from .qimaps import VertexMap, _max_distortion, _tree_distortion
 from .trees import CheckResult
 
 EXACT_PAIR_LIMIT = 1200
@@ -255,7 +255,6 @@ def promote_matching(
     r_start: int = 0,
     r_max: int = 8,
     collar_w: int = 1,
-    bilip_mode: str = "auto",
     seed: int = 0,
 ) -> MatchingResult:
     """Smallest radius whose candidate graph matches every interior vertex.
@@ -267,6 +266,11 @@ def promote_matching(
     any bijection), which is the expected negative-control outcome. It
     is raised as soon as a failing radius has every candidate ball equal
     to all of Y, since no larger radius changes the candidates.
+
+    The matching's bilipschitz constant is exact between rooted trees at
+    any size; between other graphs it is exact up to EXACT_PAIR_LIMIT
+    matched vertices and sampled from `seed` above (see
+    bilipschitz_constant).
     """
     mapping = vm.mapping if isinstance(vm, VertexMap) else dict(vm)
     g_x, g_y = t_x.graph, t_y.graph
@@ -305,9 +309,7 @@ def promote_matching(
         confinement = max((from_sphere[y] for y in unmatched), default=0)
         distance = g_y.max_distance((mapping[x], y) for x, y in match_x.items())
         assert distance <= r, "matched outside the candidate radius"
-        bilip = bilipschitz_constant(
-            match_x, g_x, g_y, mode=bilip_mode, seed=seed
-        )
+        bilip = bilipschitz_constant(match_x, g_x, g_y, mode="auto", seed=seed)
         return MatchingResult(
             pairs=dict(sorted(match_x.items())),
             r=r,
@@ -330,12 +332,22 @@ def bilipschitz_constant(
     seed: int = 0,
     samples: int = 60_000,
 ) -> Fraction:
-    """Worst two-sided distance distortion of an injective vertex map."""
+    """Worst two-sided distance distortion of an injective vertex map.
+
+    Between two rooted trees the constant is exact at any size, by the
+    pruned sphere growth of qimaps._tree_distortion, and mode, seed and
+    samples are not read. Between other graphs, mode picks the pair
+    stream of qimaps._max_distortion: "exact" measures every pair,
+    "sampled" draws `samples` seeded pairs, and "auto" is exact up to
+    EXACT_PAIR_LIMIT mapped vertices and sampled above.
+    """
     pairs_map = mapping.mapping if isinstance(mapping, VertexMap) else dict(mapping)
     if len(pairs_map) < 2:
         raise InputError("need at least two mapped vertices")
     if len(set(pairs_map.values())) != len(pairs_map):
         raise InputError("map is not injective")
+    if g_x.tree_walk() is not None and g_y.tree_walk() is not None:
+        return _tree_distortion(pairs_map, g_x, g_y)
     if mode == "auto":
         mode = "exact" if len(pairs_map) <= EXACT_PAIR_LIMIT else "sampled"
     return _max_distortion(pairs_map, g_x, g_y, mode, seed, samples)[0]

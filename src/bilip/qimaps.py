@@ -202,6 +202,10 @@ def _max_distortion(
     one BFS row per source, dropped after that source. It keeps the
     draws a stream when both sides are trees, and otherwise groups them
     by source so that each distinct source costs one row per side.
+
+    promote's bilipschitz_constant measures two rooted trees with
+    _tree_distortion instead, exact at any size; qi_constants needs the
+    value set, which that kernel does not keep, so it still comes here.
     """
     if mode not in ("exact", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
@@ -303,6 +307,53 @@ def _distance_planes(g_x: UdbgGraph, domain: list[int], s: int, width: int) -> l
                     row[jj] |= sphere
         prev = reach
     return planes
+
+
+def _tree_distortion(mapping: dict, g_x: UdbgGraph, g_y: UdbgGraph) -> Fraction:
+    """Exact max(d_Y/d_X, d_X/d_Y, 1) over all pairs of an injective map
+    between two rooted trees, by pruned sphere growth.
+
+    The bound L = p/q starts at the largest image distance across one
+    edge, on both sides, which measures every pair at distance 1. The
+    forward half grows the X-spheres of each domain vertex u from radius
+    2, with no visited set (a frontier entry is a vertex and the one it
+    came from), and walks d_Y(f u, f v) for each domain v > u it meets.
+    Since d_Y(f u, f v) <= depth f u + the deepest image depth, no pair
+    at X distance t can raise L once that sum is at most L * t, and the
+    growth from u stops there. The inverse half does the same from the
+    images on Y, walking distances in X.
+    """
+    inverse = {}
+    for u, w in mapping.items():
+        g_x.check_vertex(u)
+        g_y.check_vertex(w)
+        inverse[w] = u
+    halves = [(list(map(g.neighbors, g.vertices())), f, h)
+              for g, f, h in ((g_x, mapping, g_y), (g_y, inverse, g_x))]
+    p, q = 1, 1
+    for adj, f, h in halves:  # seed: every pair adjacent on either side
+        walk = h.tree_walk()
+        for u, fu in f.items():
+            for v in adj[u]:
+                if v > u and v in f:
+                    p = max(p, walk(fu, f[v]))
+    for adj, f, h in halves:
+        walk, depth = h.tree_walk(), h.tree_arrays()[1]
+        deepest = max(depth[w] for w in f.values())
+        for u in sorted(f):
+            fu = f[u]
+            reach = depth[fu] + deepest
+            frontier = [(v, u) for v in adj[u]]
+            t = 1
+            while frontier and reach * q > p * (t + 1):
+                t += 1
+                frontier = [(w, v) for v, back in frontier for w in adj[v] if w != back]
+                for v, _ in frontier:
+                    if v > u and v in f:
+                        d = walk(fu, f[v])
+                        if d * q > p * t:
+                            p, q = d, t
+    return Fraction(p, q)
 
 
 def _sampled_values(

@@ -173,9 +173,7 @@ def test_criterion_05_trivial_promotion():
 def regular_pair_instance(depth_x, depth_y):
     tx, ty = gen_kary(3, depth_x), gen_kary(4, depth_y)
     vm = tree_vertex_map(tx, ty)
-    res = promote_matching(
-        vm, tx.trunc, ty.trunc, r_start=0, r_max=8, collar_w=2, bilip_mode="sampled"
-    )
+    res = promote_matching(vm, tx.trunc, ty.trunc, r_start=0, r_max=8, collar_w=2)
     return tx, ty, vm, res
 
 
@@ -195,9 +193,7 @@ def stretched_instance(depth, r_max):
     x = graft_dead_ends(gen_kary(2, depth), lambda l: l, 7)
     y = gen_kary(2, depth)
     vm = tree_vertex_map(x, y)
-    return promote_matching(
-        vm, x.trunc, y.trunc, r_start=0, r_max=r_max, collar_w=1, bilip_mode="sampled"
-    )
+    return promote_matching(vm, x.trunc, y.trunc, r_start=0, r_max=r_max, collar_w=1)
 
 
 def test_criterion_07_negative_control():
@@ -206,6 +202,9 @@ def test_criterion_07_negative_control():
     try:
         deep = stretched_instance(12, 6)
         assert deep.r - shallow.r >= 2, (shallow.r, deep.r)
+        # exact constants on both trees: the control's distortion grows
+        assert deep.bilip_constant > shallow.bilip_constant, (
+            shallow.bilip_constant, deep.bilip_constant)
     except NoBoundedMatching:
         pass  # equally a pass: the non-bilipschitz signal
     budget.check()

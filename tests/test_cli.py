@@ -336,9 +336,10 @@ PINNED_REPORTS = (
     # checks over the agreement hierarchy
     ("ends --graph k3d4.json --out ends.json",
      "38e92c2a5c6685a9501b79f9ffadb67a96d0253742fc338ec95fa02102663790"),
-    # 3,280 source vertices: bilipschitz_constant takes its sampled branch
+    # 3,280 source vertices, 2,820 matched: between two trees L = 6 is
+    # exact at any size, by pruned sphere growth
     ("promote --from k3d7.json --to k4d6.json --map ends --collar 2 --out p7.json",
-     "ff6fadef0fd104ef5224904aa2062e845591d848be1e0618aebce5a00a424d7c"),
+     "b62381eebcc4dc56190570ee6f21867012c9b6370e53c2b3e6bc9e28fc8a54fb"),
     # 2,187 rays: ultrametric by identity, perfectness over both chains
     ("ends --graph k3d7.json --samples 200000 --out ends.json",
      "c53901eb372aa39867732cf34c971930ae11e411bbf94821a8183f6f3b237cb9"),

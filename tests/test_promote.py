@@ -7,6 +7,7 @@ import pytest
 from bilip.cheeger import cheeger_family, family_sets
 from bilip.errors import InputError, NoBoundedMatching
 from bilip.filling import build_filling, make_space, nearest_center_map
+from bilip.graph import UdbgGraph
 from bilip.promote import (
     ZeroChain,
     bilipschitz_constant,
@@ -201,8 +202,13 @@ def test_bilipschitz_constant():
     swap[0], swap[15] = 15, 0
     exact = bilipschitz_constant(swap, g, g, mode="exact")
     assert exact > 1
-    s1 = bilipschitz_constant(swap, g, g, mode="sampled", seed=3, samples=4000)
-    assert s1 == bilipschitz_constant(swap, g, g, mode="sampled", seed=3, samples=4000)
+    # two rooted trees are measured exactly in every mode; the unrooted
+    # copy of the same tree takes the sampled stream
+    assert bilipschitz_constant(swap, g, g, mode="sampled", samples=1) == exact
+    unrooted = UdbgGraph([g.neighbors(v) for v in g.vertices()])
+    assert bilipschitz_constant(swap, unrooted, unrooted, mode="exact") == exact
+    s1 = bilipschitz_constant(swap, unrooted, unrooted, mode="sampled", seed=3, samples=4000)
+    assert s1 == bilipschitz_constant(swap, unrooted, unrooted, mode="sampled", seed=3, samples=4000)
     assert s1 <= exact
 
 
@@ -248,7 +254,7 @@ def test_promote_generic_random_tree_pair():
     a = gen_random_pseudo_regular(1, 2, 8, 5)
     b = gen_random_pseudo_regular(9, 3, 8, 5)
     vm = tree_vertex_map(a, b)
-    res = promote_matching(vm, a.trunc, b.trunc, r_start=0, r_max=10, collar_w=2, bilip_mode="sampled")
+    res = promote_matching(vm, a.trunc, b.trunc, r_start=0, r_max=10, collar_w=2)
     assert res.r == 1
     assert res.confinement_width == 3
     check, _ = verify_promotion_consistency(
@@ -270,8 +276,6 @@ def test_verify_promotion_consistency():
 
 
 def test_verify_computes_each_boundary_once(monkeypatch):
-    from bilip.graph import UdbgGraph
-
     t = gen_kary(2, 6)
     calls = []
     boundary = UdbgGraph.boundary

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,11 +9,12 @@ from bilip.ends import enumerate_ends, leaf_intervals
 from bilip.errors import InputError
 from bilip.filling import build_filling, make_space, nearest_center_map
 from bilip.graph import UdbgGraph
-from bilip.promote import bilipschitz_constant
+from bilip.promote import EXACT_PAIR_LIMIT, bilipschitz_constant, promote_matching
 from bilip import qimaps
 from bilip.qimaps import (
     BLOCK,
     _max_distortion,
+    _tree_distortion,
     hierarchical_end_map,
     induced_vertex_map,
     qi_constants,
@@ -207,7 +209,7 @@ def test_distortion_stream_meets_the_reference_values():
             assert _max_distortion(mapping, g_x, g_y, mode, seed, 12)[1] == expected, trial
 
 
-def random_chorded_graph(n, chords, seed):
+def random_chorded_graph(n, chords, seed, root=None):
     """A random spanning tree on n vertices plus `chords` extra edges."""
     rng = random.Random(seed)
     adj = [set() for _ in range(n)]
@@ -221,7 +223,7 @@ def random_chorded_graph(n, chords, seed):
             adj[u].add(v)
             adj[v].add(u)
             chords -= 1
-    return UdbgGraph(adj)
+    return UdbgGraph(adj, root=root)
 
 
 def all_rows_values(mapping, rows_x, rows_y):
@@ -251,14 +253,84 @@ def test_exact_distortion_across_block_edges(width, monkeypatch):
                 assert _max_distortion(mapping, g_x, g_y, "exact", 0, 1)[1] == expected, size
 
 
+def random_injection(rng, g_x, g_y, size, skip_roots):
+    """A random injective map of `size` vertices, off both roots if asked."""
+    xs = [v for v in g_x.vertices() if not (skip_roots and v == g_x.root)]
+    ys = [v for v in g_y.vertices() if not (skip_roots and v == g_y.root)]
+    size = min(size, len(xs), len(ys))
+    return dict(zip(rng.sample(xs, size), rng.sample(ys, size)))
+
+
+def attaining_shape(constant, values):
+    """The (half, far) kinds of the (d_X, d_Y) values whose ratio is the
+    constant: half is "forward" for d_Y/d_X and "inverse" for d_X/d_Y,
+    and far is True when the pair lies at distance >= 2 on the side the
+    half grows spheres on, so that no edge seeds it."""
+    return frozenset(
+        ("forward" if b > a else "inverse", min(a, b) >= 2)
+        for a, b in values
+        if max(Fraction(b, a), Fraction(a, b)) == constant
+    )
+
+
+def test_tree_distortion_matches_the_exact_kernel():
+    """Pruned sphere growth against the bit-parallel all-pairs kernel on
+    at least 500 seeded injective maps of two or more vertices: random
+    rooted trees of 2-40 vertices, and 3-ary depth 5 to 4-ary depth 4,
+    domains missing the root included.
+    The cases must hold maxima that only a sphere of radius >= 2 reaches
+    and maxima that only one edge reaches, in either half, so that a
+    growth stopped one radius early, a skipped inverse half or a seed
+    taken from one side shows."""
+    rng = random.Random(11)
+    cases = []
+    for _ in range(500):
+        g_x, g_y = (random_chorded_graph(n, 0, rng.randrange(10**9), root=rng.randrange(n))
+                    for n in (rng.randint(2, 40), rng.randint(2, 40)))
+        size = rng.randint(2, min(g_x.n, g_y.n))
+        cases.append((random_injection(rng, g_x, g_y, size, rng.random() < 0.3), g_x, g_y))
+    k3, k4 = gen_kary(3, 5).graph, gen_kary(4, 4).graph  # 364 and 341 vertices
+    for trial in range(24):
+        size = rng.choice([2, 10, 60, 200, 340])
+        cases.append((random_injection(rng, k3, k4, size, trial % 2 == 1), k3, k4))
+    shapes = Counter()
+    cases = [case for case in cases if len(case[0]) >= 2]
+    assert len(cases) >= 500
+    for mapping, g_x, g_y in cases:
+        expected, values = _max_distortion(mapping, g_x, g_y, "exact", 0, 1)
+        assert _tree_distortion(mapping, g_x, g_y) == expected, mapping
+        if expected > 1:
+            shapes[attaining_shape(expected, values)] += 1
+    for half in ("forward", "inverse"):
+        for far in (False, True):
+            assert shapes[frozenset({(half, far)})] >= 5, (half, far, shapes)
+
+
+def test_promote_measures_trees_exactly_above_the_pair_limit(monkeypatch):
+    """The benchmark's tree pair matches 8,841 vertices, far above
+    EXACT_PAIR_LIMIT, and still reaches no sampled pair stream."""
+
+    def no_sampling(*args):
+        raise AssertionError("a tree promotion sampled its pairs")
+
+    monkeypatch.setattr(qimaps, "_sampled_values", no_sampling)
+    x, y = gen_kary(3, 8), gen_kary(4, 7)
+    res = promote_matching(tree_vertex_map(x, y), x.trunc, y.trunc, r_max=8, collar_w=2)
+    assert len(res.pairs) > EXACT_PAIR_LIMIT
+    assert res.bilip_constant == 6
+
+
 def test_sampled_distortion_needs_a_sample():
     t = gen_kary(2, 4)
     ident = {v: v for v in range(t.n)}
+    # bilipschitz_constant measures two rooted trees exactly whatever the
+    # mode, so its sampled stream is reached through the unrooted tree
+    unrooted = UdbgGraph([t.graph.neighbors(v) for v in t.graph.vertices()])
     for samples in (0, -5):
         with pytest.raises(InputError, match="samples must be at least 1"):
             qi_constants(ident, t.graph, t.graph, mode="sampled", samples=samples)
         with pytest.raises(InputError, match="samples must be at least 1"):
-            bilipschitz_constant(ident, t.graph, t.graph, mode="sampled", samples=samples)
+            bilipschitz_constant(ident, unrooted, unrooted, mode="sampled", samples=samples)
     # exact mode measures every pair and reads no sample count
     assert qi_constants(ident, t.graph, t.graph, samples=0).c_mult == 1
 
