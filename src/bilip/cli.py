@@ -189,7 +189,7 @@ def cmd_ends(args) -> int:
     ok = True
     for name in wanted:
         if name == "ultrametric":
-            res = verify_ultrametric(es, mode=args.mode, samples=args.samples, seed=args.seed)
+            res = verify_ultrametric(es)
             results[name] = {"passed": res.passed, "witness": res.witness}
             ok = ok and res.passed
         elif name == "doubling":
@@ -206,7 +206,7 @@ def cmd_ends(args) -> int:
             ok = ok and res.passed
         else:
             raise InputError(f"unknown check {name!r}")
-    params = {"graph": str(args.graph), "check": args.check, "mode": args.mode}
+    params = {"graph": str(args.graph), "check": args.check}
     report = {
         "config": _config("ends", args.seed, args.out, params),
         "rays": es.n,
@@ -323,9 +323,7 @@ def cmd_export(args) -> int:
     if args.dot:
         Path(args.dot).write_text(jsonio.to_dot(g), encoding="utf-8")
     if args.gromov_csv:
-        tree = jsonio.tree_from_graph(g)
-        table = enumerate_ends(tree).table()
-        Path(args.gromov_csv).write_text(jsonio.gromov_csv(table), encoding="utf-8")
+        jsonio.save_gromov_csv(args.gromov_csv, enumerate_ends(jsonio.tree_from_graph(g)))
     print("export complete")
     return 0
 
@@ -374,12 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ends", help="end-space checks for a complete tree")
     p.add_argument("--graph", required=True)
     p.add_argument("--check", default="ultrametric,doubling,perfect,disconnected")
-    p.add_argument("--mode", default="auto", choices=["auto", "exhaustive", "sampled"],
-                   help="ultrametric triple scan; it applies to hand-built tables, "
-                   "while the end space of a tree file is ultrametric by identity "
-                   "and is never scanned")
-    p.add_argument("--samples", type=int, default=1_000_000,
-                   help="triples drawn by a sampled scan of a hand-built table")
+    p.add_argument("--samples", type=int, default=None,
+                   help="accepted and ignored; its removal goes with ROADMAP item 3")
     p.add_argument("--perfect-K", dest="perfect_K", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

@@ -8,15 +8,15 @@ them), so no floats appear anywhere.
 Rays are enumerated in planar (DFS) order. In that order the agreement
 depth of any pair equals the minimum over consecutive pairs between them,
 which is what lets large spaces carry the full table implicitly. A range
-minimum is an ultrametric by identity, so ray-built spaces need no triple
-scan; the exhaustive and sampled ultrametric checks apply to hand-built
-tables (EndSpace.from_table).
+minimum is an ultrametric by identity, so ray-built spaces need no check;
+verify_ultrametric checks hand-built tables (EndSpace.from_table) exactly
+in O(n^2), through the leaf order of their single-linkage dendrogram.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .errors import InputError
@@ -71,7 +71,6 @@ class EndSpace:
     rays: Optional[tuple[tuple[int, ...], ...]]
     adjacent: Optional[tuple[int, ...]]
     explicit: Optional[tuple[tuple[int, ...], ...]] = None
-    _sparse: list = field(default_factory=list, repr=False)
 
     @classmethod
     def from_table(cls, table, depth: int, mu: int) -> "EndSpace":
@@ -109,41 +108,17 @@ class EndSpace:
             return self.explicit[i][j]
         if i == j:
             return self.depth
-        if i > j:
-            i, j = j, i
-        return self._range_min(i, j)
+        return min(self.adjacent[min(i, j) : max(i, j)])
 
-    def _range_min(self, i: int, j: int) -> int:
-        # min over adjacent[i..j), via a lazily built sparse table
-        if not self._sparse:
-            n_adj = len(self.adjacent)
-            self._sparse.append(list(self.adjacent))
-            width = 1
-            while 2 * width <= n_adj:
-                prev = self._sparse[-1]
-                self._sparse.append(
-                    [min(prev[t], prev[t + width]) for t in range(n_adj - 2 * width + 1)]
-                )
-                width *= 2
-        span = j - i
-        k = span.bit_length() - 1
-        row = self._sparse[k]
-        return min(row[i], row[j - (1 << k)])
+    def rows(self):
+        """The full symmetric table, one row at a time."""
+        if self.explicit is not None:
+            return map(list, self.explicit)
+        return _planar_rows(self.adjacent, self.depth)
 
     def table(self) -> list[list[int]]:
         """Materialize the full symmetric table (small spaces only)."""
-        if self.explicit is not None:
-            return [list(row) for row in self.explicit]
-        n = self.n
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            out[i][i] = self.depth
-            running = self.depth
-            for j in range(i + 1, n):
-                running = min(running, self.adjacent[j - 1])
-                out[i][j] = running
-                out[j][i] = running
-        return out
+        return list(self.rows())
 
     def consistent_adjacent(self) -> tuple[int, ...]:
         """Consecutive-pair array, validating planar consistency for explicit tables."""
@@ -151,16 +126,43 @@ class EndSpace:
             return self.adjacent
         n = len(self.explicit)
         adj = tuple(self.explicit[i][i + 1] for i in range(n - 1))
-        for i in range(n):
-            running = self.depth
-            for j in range(i + 1, n):
-                running = min(running, adj[j - 1])
-                if self.explicit[i][j] != running:
-                    raise InputError(
-                        "table is not consistent with planar ray order; "
-                        "run verify_ultrametric and reorder the rays first"
-                    )
+        if _first_mismatch(self.explicit, range(n), adj, self.depth) is not None:
+            raise InputError("table is not consistent with planar ray order; reorder the "
+                             "rays first (an ultrametric is planar in Prim's tree order)")
         return adj
+
+
+def _planar_rows(adjacent, depth: int):
+    """The rows of the table that `adjacent` implies in planar order: the
+    running minima outward from the diagonal, one run per link of the
+    chains of next strictly smaller entries."""
+    last = len(adjacent)
+    right = _next_smaller(range(last), adjacent)
+    left = _next_smaller(range(last - 1, -1, -1), adjacent)
+    for i in range(last + 1):
+        runs = [[depth]]
+        j = i - 1
+        while j != -1:
+            runs.append([adjacent[j]] * (j - left[j]))
+            j = left[j]
+        runs.reverse()
+        j = i if i < last else -1
+        while j != -1:
+            runs.append([adjacent[j]] * ((last if right[j] == -1 else right[j]) - j))
+            j = right[j]
+        yield list(chain.from_iterable(runs))
+
+
+def _first_mismatch(table, order, adjacent, depth: int) -> Optional[tuple[int, int]]:
+    """First pair (i, j), i before j in `order`, whose entry differs from the
+    planar table of `adjacent`, the levels between consecutive rays of `order`."""
+    for i, want in zip(order, _planar_rows(adjacent, depth)):
+        row = table[i]
+        got = [row[j] for j in order]
+        if got != want:
+            b = next(b for b, (x, y) in enumerate(zip(got, want)) if x != y)
+            return i, order[b]
+    return None
 
 
 def enumerate_ends(t: RootedTree) -> EndSpace:
@@ -199,51 +201,47 @@ def enumerate_ends(t: RootedTree) -> EndSpace:
 # -- metric checks ---------------------------------------------------------
 
 
-def verify_ultrametric(
-    es: EndSpace,
-    mode: str = "auto",
-    samples: int = 1_000_000,
-    seed: int = 0,
-) -> CheckResult:
-    """m(F,H) >= min(m(F,G), m(G,H)) over triples (exact integers).
+def verify_ultrametric(es: EndSpace) -> CheckResult:
+    """m(F,H) >= min(m(F,G), m(G,H)) over all triples, exactly, in O(n^2).
 
     Ray-built spaces pass by identity: there m(i, k) is the minimum of
-    adjacent[i..k), so for i < j < k, m(i, k) = min(m(i, j), m(j, k)) and
-    no triple can violate the inequality. Hand-built tables (from_table)
-    are scanned: exhaustively below 201 rays (or with mode="exhaustive"),
-    by seeded sampling above. Witness is the violating triple.
+    adjacent[i..k), so for i < j < k, m(i, k) = min(m(i, j), m(j, k)).
+    A hand-built table (from_table) is an ultrametric exactly when it is
+    planar-consistent in the order in which Prim's maximum spanning tree
+    visits its rays, with the weights at which they joined as levels
+    (single linkage; Gower-Ross 1969). At the first mismatch (i, j) the
+    entry lies below every level between i and j, so in the witness
+    (i, tree parent of j, j) m(i, j) is the only minimum.
     """
-    n = es.n
-    if mode not in ("auto", "exhaustive", "sampled"):
-        raise InputError(f"unknown mode {mode!r}")
-    if n < 3 or es.explicit is None:
+    if es.explicit is None or es.n < 3:
         return CheckResult(True)
-    exhaustive = mode == "exhaustive" or (mode == "auto" and n <= 200)
-    if exhaustive:
-        table = es.table()
-        for i in range(n):
-            row_i = table[i]
-            for j in range(i + 1, n):
-                row_j = table[j]
-                m_ij = row_i[j]
-                for k in range(j + 1, n):
-                    a, b, c = m_ij, row_j[k], row_i[k]
-                    lo = min(a, b, c)
-                    if (a == lo) + (b == lo) + (c == lo) < 2:
-                        return CheckResult(False, witness=(i, j, k))
+    order, joined, parent = _prim_order(es.explicit)
+    bad = _first_mismatch(es.explicit, order, joined, es.depth)
+    if bad is None:
         return CheckResult(True)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        k = rng.randrange(n)
-        a = es.product(i, j)
-        b = es.product(j, k)
-        c = es.product(i, k)
-        lo = min(a, b, c)
-        if (a == lo) + (b == lo) + (c == lo) < 2:
-            return CheckResult(False, witness=(i, j, k))
-    return CheckResult(True)
+    i, j = bad
+    return CheckResult(False, witness=(i, parent[j], j))
+
+
+def _prim_order(table) -> tuple[list[int], list[int], list[int]]:
+    """Prim's maximum spanning tree grown from ray 0: the visit order, the
+    weight at which each later ray joined, and each ray's tree parent."""
+    key = list(table[0])
+    parent = [0] * len(table)
+    rest = list(range(1, len(table)))
+    order = [0]
+    joined = []
+    while rest:
+        v = max(rest, key=key.__getitem__)
+        rest.remove(v)
+        order.append(v)
+        joined.append(key[v])
+        row = table[v]
+        for u in rest:
+            if row[u] > key[u]:
+                key[u] = row[u]
+                parent[u] = v
+    return order, joined, parent
 
 
 def split_at_minimum(adjacent, lo: int, hi: int) -> tuple[int, list[tuple[int, int]]]:

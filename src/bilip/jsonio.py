@@ -317,10 +317,10 @@ def to_dot(g: UdbgGraph, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
-def gromov_csv(table: list[list[int]]) -> str:
-    n = len(table)
-    header = "ray," + ",".join(str(j) for j in range(n))
-    rows = [header]
-    for i in range(n):
-        rows.append(str(i) + "," + ",".join(str(x) for x in table[i]))
-    return "\n".join(rows) + "\n"
+def save_gromov_csv(path, es) -> None:
+    """The agreement table of an end space as CSV, written one row at a time."""
+    names = list(map(str, range(max(es.n, es.depth + 1))))
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("ray," + ",".join(names[: es.n]) + "\n")
+        for i, row in enumerate(es.rows()):
+            f.write(names[i] + "," + ",".join(map(names.__getitem__, row)) + "\n")

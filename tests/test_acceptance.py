@@ -121,17 +121,25 @@ def test_criterion_02_isoperimetric_positivity_trend():
 def test_criterion_03_ultrametric_exactness():
     budget = Budget(10)
     big = enumerate_ends(gen_kary(2, 10))
-    res = verify_ultrametric(big, mode="sampled", samples=1_000_000, seed=0)
+    res = verify_ultrametric(big)
     assert res.passed and res.witness is None
     small = enumerate_ends(gen_kary(2, 6))
-    res6 = verify_ultrametric(small, mode="exhaustive")
+    res6 = verify_ultrametric(small)
     assert res6.passed and res6.witness is None
     # ray-built spaces pass by identity; the same tables handed in as
-    # explicit ones get the triple scans
-    for es, mode in ((big, "sampled"), (small, "exhaustive")):
+    # explicit ones are checked exactly, all 1,024 and 64 rays
+    for es in (big, small):
         table = EndSpace.from_table(es.table(), es.depth, es.mu)
-        res = verify_ultrametric(table, mode=mode, samples=1_000_000, seed=0)
+        res = verify_ultrametric(table)
         assert res.passed and res.witness is None
+    # one raised entry breaks the 1,024-ray table, and the witness shows it
+    rows = big.table()
+    rows[3][900] = rows[900][3] = rows[3][900] + 1
+    res = verify_ultrametric(EndSpace.from_table(rows, big.depth, big.mu))
+    assert not res.passed
+    i, j, k = res.witness
+    trio = sorted((rows[i][j], rows[j][k], rows[i][k]))
+    assert len({i, j, k}) == 3 and trio[0] < trio[1]
     budget.check()
     announce(3, "ultrametric exactness", budget)
 

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from bilip import jsonio
 from bilip.cli import main
+from bilip.ends import enumerate_ends
 from bilip.filling import build_filling, make_space
 from bilip.trees import gen_kary
 
@@ -264,6 +266,37 @@ def test_export_round_trip_and_formats(tmp_path):
     assert all(len(line.split(",")) == 8 + 1 for line in lines)
 
 
+def test_gromov_csv_bytes_and_memory(tmp_path, capsys):
+    small = gen_tree(tmp_path, "k3d4.json", "--kind", "kary", "--k", "3", "--depth", "4")
+    csv = tmp_path / "k3d4.csv"
+    assert run("export", "--graph", str(small), "--gromov-csv", str(csv)) == 0
+    es = enumerate_ends(gen_kary(3, 4))
+    rows = [",".join(["ray"] + [str(j) for j in range(es.n)])]
+    rows += [",".join([str(i)] + [str(es.product(i, j)) for j in range(es.n)]) for i in range(es.n)]
+    assert csv.read_text() == "\n".join(rows) + "\n"
+    # pinned bytes of the same export
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+        "4640a8505178b665d861771cfc9a4eb501f9996c833fd92d75ee80cd89884e9f")
+
+    # 2,187 rays, 4.8 million cells: written one row at a time, in O(rays) memory
+    big = gen_tree(tmp_path, "k3d7.json", "--kind", "kary", "--k", "3", "--depth", "7")
+    tracemalloc.start()
+    try:
+        assert run("export", "--graph", str(big), "--gromov-csv", str(tmp_path / "k3d7.csv")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    capsys.readouterr()
+
+
+def test_ends_takes_no_mode_and_ignores_samples(tmp_path, capsys):
+    tree = gen_tree(tmp_path, "t.json", "--kind", "kary", "--k", "2", "--depth", "3")
+    assert run("ends", "--graph", str(tree), "--mode", "exhaustive") == 2
+    assert run("ends", "--graph", str(tree), "--samples", "5") == 0
+    capsys.readouterr()
+
+
 def test_export_requires_a_target(tmp_path, capsys):
     tree = gen_tree(tmp_path, "t.json", "--kind", "kary", "--k", "2", "--depth", "3")
     assert run("export", "--graph", str(tree)) == 2
@@ -332,17 +365,18 @@ PINNED_REPORTS = (
     # sampled qi_constants: 1,093 and 1,365 vertices are above the exact limit
     ("qi --from x.json --to y.json --samples 5000 --out qi.json",
      "2c6319904f20c8d0b36666260b611e98ca3ed2d7e4d52279a44f6c5d914b4941"),
-    # 81 rays: exhaustive ultrametric scan, doubling and disconnection
-    # checks over the agreement hierarchy
+    # 81 rays: ultrametric by identity, doubling and disconnection checks
+    # over the agreement hierarchy
     ("ends --graph k3d4.json --out ends.json",
-     "38e92c2a5c6685a9501b79f9ffadb67a96d0253742fc338ec95fa02102663790"),
+     "6c611b8285238cdfb5650234b648d5d952d8ddc46fdcba7d636323adf8e3cdb1"),
     # 3,280 source vertices, 2,820 matched: between two trees L = 6 is
     # exact at any size, by pruned sphere growth
     ("promote --from k3d7.json --to k4d6.json --map ends --collar 2 --out p7.json",
      "b62381eebcc4dc56190570ee6f21867012c9b6370e53c2b3e6bc9e28fc8a54fb"),
-    # 2,187 rays: ultrametric by identity, perfectness over both chains
+    # 2,187 rays: ultrametric by identity, perfectness over both chains;
+    # --samples is accepted and ignored
     ("ends --graph k3d7.json --samples 200000 --out ends.json",
-     "c53901eb372aa39867732cf34c971930ae11e411bbf94821a8183f6f3b237cb9"),
+     "c3b300f94ec4ba9aa539d8cd0830a98d5a6d9e46ffe716e3cbb35ece93f9c360"),
     # 206,367 subsets of a 31-vertex interior, incremental boundary counts
     ("cheeger --graph k2d6.json --collar 1 --exact-max 5 --out cx.json",
      "27ae4215bc95253df9d16e4542d9eeeef67d96d2c49ac388299e3e52173a6e03"),

@@ -104,38 +104,100 @@ def test_leaf_intervals_count_descendant_leaves():
         assert hi[v] - lo[v] == 3 ** (3 - t.level(v))
 
 
+def triple_scan_oracle(table):
+    """Brute-force O(n^3) scan: the first i < j < k whose three agreement
+    depths have a single minimum, or None for an ultrametric table."""
+    n = len(table)
+    for i in range(n):
+        row_i = table[i]
+        for j in range(i + 1, n):
+            row_j = table[j]
+            m_ij = row_i[j]
+            for k in range(j + 1, n):
+                a, b, c = m_ij, row_j[k], row_i[k]
+                lo = min(a, b, c)
+                if (a == lo) + (b == lo) + (c == lo) < 2:
+                    return (i, j, k)
+    return None
+
+
+def violates(table, witness):
+    """Three distinct rays whose agreement depths have a single minimum."""
+    i, j, k = witness
+    trio = (table[i][j], table[j][k], table[i][k])
+    return len({i, j, k}) == 3 and sorted(trio)[0] < sorted(trio)[1]
+
+
 def test_ultrametric_passes_on_tree_ends():
-    assert verify_ultrametric(enumerate_ends(gen_kary(2, 6)), mode="exhaustive").passed
-    assert verify_ultrametric(enumerate_ends(gen_kary(3, 4)), mode="sampled", samples=50_000).passed
-    assert verify_ultrametric(enumerate_ends(gen_path(4))).passed  # vacuous below three rays
+    assert verify_ultrametric(enumerate_ends(gen_kary(2, 6))).passed
+    assert verify_ultrametric(enumerate_ends(gen_kary(3, 4))).passed
+    assert verify_ultrametric(enumerate_ends(gen_path(4))).passed
 
 
 def test_ray_built_spaces_are_ultrametric_by_identity():
-    # ray-built spaces skip the triple scan; the same table, handed in as
-    # an explicit one, must pass the scan that hand-built tables still get
+    # ray-built spaces pass without a check; the same table, handed in as
+    # an explicit one, must pass the check that hand-built tables get
     trees = (gen_kary(2, 5), gen_kary(3, 3), gen_random_pseudo_regular(4, 2, 6, 4),
              complete_core(graft_dead_ends(gen_kary(2, 5), 2, 3)).core)
     for t in trees:
         es = enumerate_ends(t)
+        assert verify_ultrametric(es).passed
         explicit = EndSpace.from_table(es.table(), es.depth, es.mu)
-        assert verify_ultrametric(explicit, mode="exhaustive").passed
-        assert verify_ultrametric(explicit, mode="sampled", samples=2_000).passed
-        for mode in ("auto", "exhaustive", "sampled"):
-            assert verify_ultrametric(es, mode=mode, samples=2_000).passed
-    with pytest.raises(InputError):
-        verify_ultrametric(enumerate_ends(gen_kary(2, 3)), mode="bogus")
+        assert verify_ultrametric(explicit).passed
+        assert triple_scan_oracle(explicit.table()) is None
 
 
 def test_ultrametric_adversarial_table_fails():
     d = 4
     bad = [[d, 3, 1], [3, d, 3], [1, 3, d]]
     es = EndSpace.from_table(bad, d, 3)
-    res = verify_ultrametric(es, mode="exhaustive")
+    res = verify_ultrametric(es)
     assert not res.passed
-    i, j, k = res.witness
-    trio = (es.product(i, j), es.product(j, k), es.product(i, k))
-    lo = min(trio)
-    assert sum(1 for m in trio if m == lo) < 2
+    assert violates(bad, res.witness)
+    assert triple_scan_oracle(bad) == (0, 1, 2)
+
+
+def shuffled_tree_table(rng, tree, perturb):
+    """The agreement table of `tree` with its rays shuffled out of planar
+    order, then `perturb` random off-diagonal entries redrawn."""
+    es = enumerate_ends(tree)
+    table = es.table()
+    order = list(range(es.n))
+    rng.shuffle(order)
+    table = [[table[a][b] for b in order] for a in order]
+    for _ in range(perturb if es.n > 1 else 0):
+        i, j = rng.sample(range(es.n), 2)
+        table[i][j] = table[j][i] = rng.randrange(es.depth)
+    return table, es.depth
+
+
+def test_ultrametric_matches_triple_scan_oracle():
+    rng = random.Random(12)
+    cases = []
+    for _ in range(150):
+        if rng.random() < 0.5:
+            tree = gen_kary(rng.randint(2, 3), rng.randint(1, 4))
+        else:
+            tree = gen_random_pseudo_regular(rng.randrange(1000), 2, rng.randint(2, 6), 4)
+        cases.append(shuffled_tree_table(rng, tree, rng.randint(0, 5)))
+    for _ in range(150):  # arbitrary symmetric tables: mostly violating
+        n, depth = rng.randint(1, 12), rng.randint(1, 5)
+        table = [[depth] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            table[i][j] = table[j][i] = rng.randrange(depth)
+        cases.append((table, depth))
+    # above 200 rays, where a sampled scan used to stand in for the check
+    for perturb in (0, 1, 3):
+        cases.append(shuffled_tree_table(random.Random(perturb), gen_kary(2, 8), perturb))
+    outcomes = []
+    for table, depth in cases:
+        res = verify_ultrametric(EndSpace.from_table(table, depth, 3))
+        assert res.passed == (triple_scan_oracle(table) is None)
+        assert res.passed == (res.witness is None)
+        if not res.passed:
+            assert violates(table, res.witness)
+        outcomes.append((len(table) > 200, res.passed))
+    assert set(outcomes) == {(False, True), (False, False), (True, True), (True, False)}
 
 
 def test_from_table_validation():
@@ -155,7 +217,7 @@ def test_consistent_adjacent_rejects_shuffled_tables():
     order = [0, 4, 1, 5, 2, 6, 3, 7]  # valid ultrametric, wrong ray order
     shuffled = [[table[a][b] for b in order] for a in order]
     es2 = EndSpace.from_table(shuffled, es.depth, es.mu)
-    assert verify_ultrametric(es2, mode="exhaustive").passed
+    assert verify_ultrametric(es2).passed
     with pytest.raises(InputError, match="planar"):
         es2.consistent_adjacent()
 

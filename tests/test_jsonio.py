@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bilip import jsonio
+from bilip.ends import EndSpace, enumerate_ends
 from bilip.errors import InputError
 from bilip.filling import build_filling, make_space
-from bilip.trees import gen_kary
+from bilip.trees import gen_kary, gen_path
 
 
 def test_rational_round_trip():
@@ -132,14 +133,17 @@ def test_vertex_map_round_trip():
             jsonio.vertex_map_from_dict({"map": bad})
 
 
-def test_dot_and_csv():
+def test_dot_and_csv(tmp_path):
     t = gen_kary(2, 2)
     dot = jsonio.to_dot(t.graph)
     assert dot.count(" -- ") == t.graph.edge_count()
     assert "rank=same" in dot
-    table = [[3, 1], [1, 3]]
-    csv = jsonio.gromov_csv(table)
-    lines = csv.strip().split("\n")
+    path = tmp_path / "t.csv"
+    jsonio.save_gromov_csv(path, enumerate_ends(gen_path(3)))  # one ray, depth 3
+    assert path.read_text() == "ray,0\n0,3\n"
+    jsonio.save_gromov_csv(path, EndSpace.from_table([[3, 1], [1, 3]], 3, 3))
+    assert path.read_text() == "ray,0,1\n0,3,1\n1,1,3\n"
+    lines = path.read_text().strip().split("\n")
     assert lines[0] == "ray,0,1"
     assert len(lines) == 3
 
