@@ -259,7 +259,6 @@ def cmd_promote(args) -> int:
             r_start=args.rstart,
             r_max=args.rmax,
             collar_w=args.collar,
-            seed=args.seed,
         )
     except NoBoundedMatching as exc:
         if args.out:
@@ -394,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rstart", type=int, default=0)
     p.add_argument("--rmax", type=int, default=8)
     p.add_argument("--collar", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the config; promote draws no random numbers")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_promote)
 

@@ -75,6 +75,8 @@ class EndSpace:
     @classmethod
     def from_table(cls, table, depth: int, mu: int) -> "EndSpace":
         n = len(table)
+        if not n:
+            raise InputError("an end space has at least one ray")
         for i in range(n):
             if len(table[i]) != n:
                 raise InputError("agreement table must be square")

@@ -6,7 +6,8 @@ schedule r = r_start, r_start+1, ... A radius succeeds when every
 X-interior vertex is matched to a target within r of its image. On
 finite truncations a cardinality mismatch is unavoidable, so unmatched
 target vertices are pushed toward the target's truncation sphere and the
-achieved confinement width is reported alongside the matching.
+achieved confinement width is reported alongside the matching. The
+matching's bilipschitz constant is exact on every pair of graphs.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ from typing import Iterable, Optional, Sequence, Union
 from .errors import InputError, NoBoundedMatching
 from .cheeger import _boundary_sizes, _family_certificate, family_sets
 from .graph import Truncation, UdbgGraph
-from .qimaps import VertexMap, _max_distortion, _tree_distortion
+from .qimaps import VertexMap, _exact_values, _max_distortion, _tree_distortion
 from .trees import CheckResult
-
-EXACT_PAIR_LIMIT = 1200
 
 # -- chains ----------------------------------------------------------------
 
@@ -168,7 +167,15 @@ def _max_matching(xs, adj_of, match_x, match_y):
                         chosen.pop()
 
 
-def _push_unmatched_toward_sphere(g_y, match_x, match_y, radj, from_sphere, max_sweeps=8):
+# Sweeps of _push_unmatched_toward_sphere. A sweep that flips lowers the
+# unmatched set's total depth, so the loop would end uncapped too, but only
+# after up to that many sweeps, each a search from every unmatched vertex.
+# The cap bounds the work; the report states the width reached, which is
+# not certified minimal.
+CONFINEMENT_SWEEPS = 8
+
+
+def _push_unmatched_toward_sphere(g_y, match_x, match_y, radj, from_sphere):
     """Alternating-path flips moving unmatched target vertices outward.
 
     Each flip frees a vertex strictly closer to the truncation sphere in
@@ -177,7 +184,7 @@ def _push_unmatched_toward_sphere(g_y, match_x, match_y, radj, from_sphere, max_
     vertices already on the sphere (depth 0) are not searched from: no
     vertex is strictly shallower, so their search could never flip.
     """
-    for _ in range(max_sweeps):
+    for _ in range(CONFINEMENT_SWEEPS):
         unmatched = sorted(
             (y for y in g_y.vertices() if y not in match_y and y in radj and from_sphere[y] > 0),
             key=lambda y: (-from_sphere[y], y),
@@ -255,7 +262,6 @@ def promote_matching(
     r_start: int = 0,
     r_max: int = 8,
     collar_w: int = 1,
-    seed: int = 0,
 ) -> MatchingResult:
     """Smallest radius whose candidate graph matches every interior vertex.
 
@@ -267,9 +273,7 @@ def promote_matching(
     is raised as soon as a failing radius has every candidate ball equal
     to all of Y, since no larger radius changes the candidates.
 
-    The matching's bilipschitz constant is exact between rooted trees at
-    any size; between other graphs it is exact up to EXACT_PAIR_LIMIT
-    matched vertices and sampled from `seed` above (see
+    The matching's bilipschitz constant is exact at any size (see
     bilipschitz_constant).
     """
     mapping = vm.mapping if isinstance(vm, VertexMap) else dict(vm)
@@ -309,7 +313,7 @@ def promote_matching(
         confinement = max((from_sphere[y] for y in unmatched), default=0)
         distance = g_y.max_distance((mapping[x], y) for x, y in match_x.items())
         assert distance <= r, "matched outside the candidate radius"
-        bilip = bilipschitz_constant(match_x, g_x, g_y, mode="auto", seed=seed)
+        bilip = bilipschitz_constant(match_x, g_x, g_y)
         return MatchingResult(
             pairs=dict(sorted(match_x.items())),
             r=r,
@@ -328,18 +332,13 @@ def bilipschitz_constant(
     mapping: Union[VertexMap, dict],
     g_x: UdbgGraph,
     g_y: UdbgGraph,
-    mode: str = "exact",
-    seed: int = 0,
-    samples: int = 60_000,
 ) -> Fraction:
-    """Worst two-sided distance distortion of an injective vertex map.
+    """Worst two-sided distance distortion of an injective vertex map,
+    exact at any size.
 
-    Between two rooted trees the constant is exact at any size, by the
-    pruned sphere growth of qimaps._tree_distortion, and mode, seed and
-    samples are not read. Between other graphs, mode picks the pair
-    stream of qimaps._max_distortion: "exact" measures every pair,
-    "sampled" draws `samples` seeded pairs, and "auto" is exact up to
-    EXACT_PAIR_LIMIT mapped vertices and sampled above.
+    Between two rooted trees it is found by the pruned sphere growth of
+    qimaps._tree_distortion; between any other graphs, by the bit-parallel
+    all-pairs kernel of qimaps._exact_values, in O(BLOCK * n) memory.
     """
     pairs_map = mapping.mapping if isinstance(mapping, VertexMap) else dict(mapping)
     if len(pairs_map) < 2:
@@ -348,9 +347,7 @@ def bilipschitz_constant(
         raise InputError("map is not injective")
     if g_x.tree_walk() is not None and g_y.tree_walk() is not None:
         return _tree_distortion(pairs_map, g_x, g_y)
-    if mode == "auto":
-        mode = "exact" if len(pairs_map) <= EXACT_PAIR_LIMIT else "sampled"
-    return _max_distortion(pairs_map, g_x, g_y, mode, seed, samples)[0]
+    return _max_distortion(_exact_values(pairs_map, g_x, g_y))
 
 
 def verify_promotion_consistency(

@@ -14,8 +14,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import InputError
 from .ends import EndSpace, leaf_intervals, split_at_minimum
@@ -182,46 +181,37 @@ class QiConstants:
 BLOCK = 128  # sources per bit-parallel block of the exact distortion
 
 
-def _max_distortion(
-    mapping: dict, g_x: UdbgGraph, g_y: UdbgGraph, mode: str, seed: int, samples: int
-) -> tuple[Fraction, set[tuple[int, int]]]:
-    """Worst two-sided distortion max(d_Y/d_X, d_X/d_Y, 1) over a pair stream.
-
-    The stream is every pair u < v of the domain in exact mode, and in
-    sampled mode `samples` seeded draws of (u, v) with u == v skipped, so
-    d_X >= 1 throughout. Pairs whose images coincide (d_Y = 0) are not
-    ratios and are skipped; an injective map has none. Returns the
-    constant and the distinct (d_X, d_Y) values the stream met, at most
-    (diam X + 1) * (diam Y + 1) of them.
-
-    Every id is checked once, up front. Exact mode measures all pairs
-    with bit-parallel BFS over blocks of BLOCK sources (see
-    _block_values), on trees and other graphs alike, in O(BLOCK * n)
-    memory. Sampled mode measures each side by what its graph is: a
-    rooted tree walks its parent array per pair, any other graph reads
-    one BFS row per source, dropped after that source. It keeps the
-    draws a stream when both sides are trees, and otherwise groups them
-    by source so that each distinct source costs one row per side.
-
-    promote's bilipschitz_constant measures two rooted trees with
-    _tree_distortion instead, exact at any size; qi_constants needs the
-    value set, which that kernel does not keep, so it still comes here.
-    """
-    if mode not in ("exact", "sampled"):
-        raise InputError(f"unknown mode {mode!r}")
-    if mode == "sampled" and samples < 1:
-        raise InputError("samples must be at least 1")
+def _domain(mapping: dict, g_x: UdbgGraph, g_y: UdbgGraph) -> tuple[list[int], list[int]]:
+    """The sorted domain of a map and its images, every id checked once."""
     for u, w in mapping.items():
         g_x.check_vertex(u)
         g_y.check_vertex(w)
     domain = sorted(mapping)
-    images = [mapping[u] for u in domain]
-    if mode == "exact":
-        seen: set[tuple[int, int]] = set()
-        for s in range(0, len(domain) - 1, BLOCK):
-            _block_values(domain, images, g_x, g_y, s, seen)
-    else:
-        seen = _sampled_values(domain, images, g_x, g_y, seed, samples)
+    return domain, [mapping[u] for u in domain]
+
+
+def _exact_values(mapping: dict, g_x: UdbgGraph, g_y: UdbgGraph) -> set[tuple[int, int]]:
+    """Distinct (d_X(u, v), d_Y(f u, f v)) over every pair u < v of the
+    domain, at most (diam X + 1) * (diam Y + 1) of them.
+
+    Bit-parallel BFS over blocks of BLOCK sources (see _block_values), on
+    trees and other graphs alike, in O(BLOCK * n) memory. promote's
+    bilipschitz_constant measures two rooted trees with _tree_distortion
+    instead; qi_constants needs the value set, which that kernel does not
+    keep, so it comes here.
+    """
+    domain, images = _domain(mapping, g_x, g_y)
+    seen: set[tuple[int, int]] = set()
+    for s in range(0, len(domain) - 1, BLOCK):
+        _block_values(domain, images, g_x, g_y, s, seen)
+    return seen
+
+
+def _max_distortion(seen: set[tuple[int, int]]) -> Fraction:
+    """Worst two-sided distortion max(d_Y/d_X, d_X/d_Y, 1) over a set of
+    (d_X, d_Y) values with d_X >= 1. Values with d_Y = 0 (coinciding
+    images) are not ratios and are skipped; an injective map has none.
+    """
     up_n, up_d = 1, 1  # max d_Y/d_X, compared by cross-multiplying
     dn_n, dn_d = 1, 1  # max d_X/d_Y
     for a, b in seen:
@@ -230,7 +220,7 @@ def _max_distortion(
                 up_n, up_d = b, a
             if a * dn_d > dn_n * b:
                 dn_n, dn_d = a, b
-    return max(Fraction(up_n, up_d), Fraction(dn_n, dn_d), Fraction(1)), seen
+    return max(Fraction(up_n, up_d), Fraction(dn_n, dn_d), Fraction(1))
 
 
 def _block_values(
@@ -357,38 +347,25 @@ def _tree_distortion(mapping: dict, g_x: UdbgGraph, g_y: UdbgGraph) -> Fraction:
 
 
 def _sampled_values(
-    domain: list[int], images: list[int], g_x: UdbgGraph, g_y: UdbgGraph, seed: int, samples: int
+    mapping: dict, g_x: UdbgGraph, g_y: UdbgGraph, seed: int, samples: int
 ) -> set[tuple[int, int]]:
-    """Distinct (d_X, d_Y) over `samples` seeded draws of index pairs."""
+    """Distinct (d_X, d_Y) over `samples` seeded draws of index pairs into
+    the sorted domain, draws of one index twice skipped, each pair measured
+    by walking the parent arrays of two rooted trees."""
+    if samples < 1:
+        raise InputError("samples must be at least 1")
     walk_x, walk_y = g_x.tree_walk(), g_y.tree_walk()
+    if walk_x is None or walk_y is None:
+        raise InputError("sampled distortion needs two rooted trees")
+    domain, images = _domain(mapping, g_x, g_y)
     rng = random.Random(seed)
     n = len(domain)
     draws = ((rng.randrange(n), rng.randrange(n)) for _ in range(samples))
-    if walk_x is not None and walk_y is not None:
-        return {
-            (walk_x(domain[i], domain[j]), walk_y(images[i], images[j]))
-            for i, j in draws
-            if i != j
-        }
-    partners: dict[int, list[int]] = {}
-    for i, j in draws:
-        if i != j:
-            partners.setdefault(i, []).append(j)
-    seen: set[tuple[int, int]] = set()
-    for i, js in partners.items():
-        seen.update(zip(
-            _column(g_x, walk_x, domain[i], [domain[j] for j in js]),
-            _column(g_y, walk_y, images[i], [images[j] for j in js]),
-        ))
-    return seen
-
-
-def _column(g: UdbgGraph, walk, source: int, targets: list[int]) -> Iterator[int]:
-    """d(source, t) for each target: a tree walk per pair, or lookups in
-    one BFS row from source that lives only as long as the iterator."""
-    if walk is not None:
-        return map(walk, repeat(source), targets)
-    return map(g.bfs_row(source).__getitem__, targets)
+    return {
+        (walk_x(domain[i], domain[j]), walk_y(images[i], images[j]))
+        for i, j in draws
+        if i != j
+    }
 
 
 def qi_constants(
@@ -403,14 +380,22 @@ def qi_constants(
 
     c_mult is the worst multiplicative distortion over tested pairs with
     both distances positive; d_add is then the smallest additive slack
-    making both two-sided inequalities hold at that c_mult. surj_radius
+    making both two-sided inequalities hold at that c_mult. The tested
+    pairs are every pair in "exact" mode, on any graphs, and in "sampled"
+    mode `samples` seeded draws between two rooted trees. surj_radius
     is exact in every mode. c_step is the worst target distance across a
     single source edge.
     """
     mapping = vm.mapping if isinstance(vm, VertexMap) else dict(vm)
     if len(mapping) != g_x.n:
         raise InputError("vertex map must be total on the source graph")
-    c_mult, seen = _max_distortion(mapping, g_x, g_y, mode, seed, samples)
+    if mode == "exact":
+        seen = _exact_values(mapping, g_x, g_y)
+    elif mode == "sampled":
+        seen = _sampled_values(mapping, g_x, g_y, seed, samples)
+    else:
+        raise InputError(f"unknown mode {mode!r}")
+    c_mult = _max_distortion(seen)
     # additive slack at that multiplicative constant, over the same pairs
     d_add = max([Fraction(0), *(max(b - c_mult * a, a / c_mult - b) for a, b in seen)])
     image = set(mapping.values())

@@ -219,6 +219,28 @@ def test_promote_between_fillings(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_promote_measures_large_fillings_exactly(tmp_path, monkeypatch, capsys):
+    """1,256 matched filling vertices: every pair is measured, and the
+    constant is 4, which 60,000 sampled pairs miss (they find 3)."""
+    from bilip import qimaps
+
+    def no_sampling(*args):
+        raise AssertionError("promote sampled its pairs")
+
+    monkeypatch.setattr(qimaps, "_sampled_values", no_sampling)
+    fa, fb = tmp_path / "fa.json", tmp_path / "fb.json"
+    for path, seed in ((fa, 1), (fb, 2)):
+        assert run("fill", "--space", "interval", "--levels", "11", "--scale", "1/2",
+                   "--tau", "2", "--seed", str(seed), "--out", str(path)) == 0
+    out = tmp_path / "p.json"
+    assert run("promote", "--from", str(fa), "--to", str(fb), "--map", "nearest-center",
+               "--rmax", "6", "--collar", "1", "--out", str(out)) == 0
+    matching = json.loads(out.read_text())["matching"]
+    assert len(matching["pairs"]) == 1256
+    assert matching["bilip_constant"] == {"num": 4, "den": 1}
+    capsys.readouterr()
+
+
 def test_nearest_center_needs_every_level(tmp_path, capsys):
     fa, fb = tmp_path / "fa.json", tmp_path / "fb.json"
     for path, seed in ((fa, 1), (fb, 2)):

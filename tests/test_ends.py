@@ -209,6 +209,9 @@ def test_from_table_validation():
         EndSpace.from_table([[4, 9], [9, 4]], 4, 3)  # out of range
     with pytest.raises(InputError):
         EndSpace.from_table([[4, 1]], 4, 3)  # not square
+    # no rays: the hierarchy checks split at a minimum, which needs one
+    with pytest.raises(InputError, match="at least one ray"):
+        EndSpace.from_table([], 4, 3)
 
 
 def test_consistent_adjacent_rejects_shuffled_tables():

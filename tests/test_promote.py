@@ -186,30 +186,25 @@ def test_matching_result_constants_recompute():
     ta, tb = gen_kary(3, 4), gen_kary(4, 3)
     vm = tree_vertex_map(ta, tb)
     res = promote_matching(vm, ta.trunc, tb.trunc, r_start=0, r_max=6, collar_w=1)
-    again = bilipschitz_constant(res.pairs, ta.graph, tb.graph, mode="auto", seed=0)
+    again = bilipschitz_constant(res.pairs, ta.graph, tb.graph)
     assert again == res.bilip_constant
 
 
 def test_bilipschitz_constant():
     g = gen_kary(2, 4).graph
     ident = {v: v for v in range(g.n)}
-    assert bilipschitz_constant(ident, g, g, mode="exact") == 1
+    assert bilipschitz_constant(ident, g, g) == 1
     with pytest.raises(InputError):
         bilipschitz_constant({0: 0}, g, g)
     with pytest.raises(InputError):
         bilipschitz_constant({0: 0, 1: 0}, g, g)  # not injective
     swap = dict(ident)
     swap[0], swap[15] = 15, 0
-    exact = bilipschitz_constant(swap, g, g, mode="exact")
+    exact = bilipschitz_constant(swap, g, g)
     assert exact > 1
-    # two rooted trees are measured exactly in every mode; the unrooted
-    # copy of the same tree takes the sampled stream
-    assert bilipschitz_constant(swap, g, g, mode="sampled", samples=1) == exact
+    # the unrooted copy of the same tree takes the all-pairs kernel
     unrooted = UdbgGraph([g.neighbors(v) for v in g.vertices()])
-    assert bilipschitz_constant(swap, unrooted, unrooted, mode="exact") == exact
-    s1 = bilipschitz_constant(swap, unrooted, unrooted, mode="sampled", seed=3, samples=4000)
-    assert s1 == bilipschitz_constant(swap, unrooted, unrooted, mode="sampled", seed=3, samples=4000)
-    assert s1 <= exact
+    assert bilipschitz_constant(swap, unrooted, unrooted) == exact
 
 
 def exact_bilipschitz_peak(resolution, levels):
@@ -221,7 +216,7 @@ def exact_bilipschitz_peak(resolution, levels):
     vm = nearest_center_map(fa, fb)
     tracemalloc.start()
     try:
-        constant = bilipschitz_constant(vm, fa.graph, fb.graph, mode="exact")
+        constant = bilipschitz_constant(vm, fa.graph, fb.graph)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

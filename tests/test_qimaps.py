@@ -9,11 +9,13 @@ from bilip.ends import enumerate_ends, leaf_intervals
 from bilip.errors import InputError
 from bilip.filling import build_filling, make_space, nearest_center_map
 from bilip.graph import UdbgGraph
-from bilip.promote import EXACT_PAIR_LIMIT, bilipschitz_constant, promote_matching
+from bilip.promote import bilipschitz_constant, promote_matching
 from bilip import qimaps
 from bilip.qimaps import (
     BLOCK,
+    _exact_values,
     _max_distortion,
+    _sampled_values,
     _tree_distortion,
     hierarchical_end_map,
     induced_vertex_map,
@@ -176,12 +178,18 @@ def test_qi_constants_match_two_pass_reference():
         (tree_vertex_map(gen_kary(3, 4), gen_kary(2, 6)).mapping,
          gen_kary(3, 4).graph, gen_kary(2, 6).graph),
         (nearest_center_map(fa, fb), fa.graph, fb.graph),  # not a tree
-        # mixed sides: a tree walks while a filling reads rows, both ways
+        # mixed sides: one tree and one filling, both ways
         ({v: v % fa.graph.n for v in range(63)}, gen_kary(2, 5).graph, fa.graph),
         ({v: v for v in range(fb.graph.n)}, fb.graph, gen_kary(2, 4).graph),
     ]
     for mapping, g_x, g_y in cases:
+        trees = g_x.tree_walk() is not None and g_y.tree_walk() is not None
         for mode, seed in (("exact", 0), ("sampled", 0), ("sampled", 7)):
+            if mode == "sampled" and not trees:
+                # sampling walks parent arrays, so only a tree pair has it
+                with pytest.raises(InputError, match="needs two rooted trees"):
+                    qi_constants(mapping, g_x, g_y, mode=mode, seed=seed, samples=3000)
+                continue
             qc = qi_constants(mapping, g_x, g_y, mode=mode, seed=seed, samples=3000)
             expected = two_pass_qi_constants(mapping, g_x, g_y, mode, seed, 3000)
             assert (qc.c_mult, qc.d_add) == expected, (mode, seed)
@@ -203,10 +211,17 @@ def test_distortion_stream_meets_the_reference_values():
         g_x, g_y = rng.choice(graphs), rng.choice(graphs)
         domain = rng.sample(range(g_x.n), rng.randint(2, g_x.n))
         mapping = {u: rng.randrange(g_y.n) for u in domain}  # often not injective
+        trees = g_x.tree_walk() is not None and g_y.tree_walk() is not None
         for mode, seed in (("exact", 0), ("sampled", 3), ("sampled", 8)):
             expected = {(g_x.distance(u, v), g_y.distance(mapping[u], mapping[v]))
                         for u, v in reference_pairs(sorted(mapping), mode, seed, 12)}
-            assert _max_distortion(mapping, g_x, g_y, mode, seed, 12)[1] == expected, trial
+            if mode == "exact":
+                assert _exact_values(mapping, g_x, g_y) == expected, trial
+            elif trees:
+                assert _sampled_values(mapping, g_x, g_y, seed, 12) == expected, trial
+            else:
+                with pytest.raises(InputError, match="needs two rooted trees"):
+                    _sampled_values(mapping, g_x, g_y, seed, 12)
 
 
 def random_chorded_graph(n, chords, seed, root=None):
@@ -250,7 +265,7 @@ def test_exact_distortion_across_block_edges(width, monkeypatch):
             crowded = {u: rng.randrange(40) for u in domain}  # not injective
             for mapping in (injective, crowded):
                 expected = all_rows_values(mapping, rows[g_x], rows[g_y])
-                assert _max_distortion(mapping, g_x, g_y, "exact", 0, 1)[1] == expected, size
+                assert _exact_values(mapping, g_x, g_y) == expected, size
 
 
 def random_injection(rng, g_x, g_y, size, skip_roots):
@@ -297,7 +312,8 @@ def test_tree_distortion_matches_the_exact_kernel():
     cases = [case for case in cases if len(case[0]) >= 2]
     assert len(cases) >= 500
     for mapping, g_x, g_y in cases:
-        expected, values = _max_distortion(mapping, g_x, g_y, "exact", 0, 1)
+        values = _exact_values(mapping, g_x, g_y)
+        expected = _max_distortion(values)
         assert _tree_distortion(mapping, g_x, g_y) == expected, mapping
         if expected > 1:
             shapes[attaining_shape(expected, values)] += 1
@@ -307,8 +323,8 @@ def test_tree_distortion_matches_the_exact_kernel():
 
 
 def test_promote_measures_trees_exactly_above_the_pair_limit(monkeypatch):
-    """The benchmark's tree pair matches 8,841 vertices, far above
-    EXACT_PAIR_LIMIT, and still reaches no sampled pair stream."""
+    """The benchmark's tree pair matches 8,841 vertices and reaches no
+    sampled pair stream."""
 
     def no_sampling(*args):
         raise AssertionError("a tree promotion sampled its pairs")
@@ -316,30 +332,30 @@ def test_promote_measures_trees_exactly_above_the_pair_limit(monkeypatch):
     monkeypatch.setattr(qimaps, "_sampled_values", no_sampling)
     x, y = gen_kary(3, 8), gen_kary(4, 7)
     res = promote_matching(tree_vertex_map(x, y), x.trunc, y.trunc, r_max=8, collar_w=2)
-    assert len(res.pairs) > EXACT_PAIR_LIMIT
+    assert len(res.pairs) == 8841
     assert res.bilip_constant == 6
 
 
 def test_sampled_distortion_needs_a_sample():
     t = gen_kary(2, 4)
     ident = {v: v for v in range(t.n)}
-    # bilipschitz_constant measures two rooted trees exactly whatever the
-    # mode, so its sampled stream is reached through the unrooted tree
-    unrooted = UdbgGraph([t.graph.neighbors(v) for v in t.graph.vertices()])
     for samples in (0, -5):
         with pytest.raises(InputError, match="samples must be at least 1"):
             qi_constants(ident, t.graph, t.graph, mode="sampled", samples=samples)
-        with pytest.raises(InputError, match="samples must be at least 1"):
-            bilipschitz_constant(ident, unrooted, unrooted, mode="sampled", samples=samples)
     # exact mode measures every pair and reads no sample count
     assert qi_constants(ident, t.graph, t.graph, samples=0).c_mult == 1
+    with pytest.raises(InputError, match="unknown mode"):
+        qi_constants(ident, t.graph, t.graph, mode="auto")
 
 
 def test_distortion_rejects_unknown_ids():
     t = gen_kary(2, 4)
+    # the rooted tree takes the pruned kernel, its unrooted copy the exact one
+    unrooted = UdbgGraph([t.graph.neighbors(v) for v in t.graph.vertices()])
     for bad in ({**{v: v for v in range(t.n)}, 3: t.n}, {**{v: v for v in range(1, t.n)}, -1: 0}):
-        with pytest.raises(InputError, match="unknown vertex id"):
-            bilipschitz_constant(bad, t.graph, t.graph, mode="exact")
+        for g in (t.graph, unrooted):
+            with pytest.raises(InputError, match="unknown vertex id"):
+                bilipschitz_constant(bad, g, g)
 
 
 def test_tree_vertex_map_handles_dead_ends():
