@@ -15,7 +15,7 @@ from math import comb
 from typing import Iterable, Optional
 
 from .errors import InputError
-from .graph import Truncation, UdbgGraph
+from .graph import UNREACHED, Truncation, UdbgGraph
 
 FAMILY_NAMES = ("balls", "level-bands", "descendant-subtrees", "random-connected")
 
@@ -177,19 +177,18 @@ def family_sets(t: Truncation, w: int, families: Iterable[str], seed: int) -> li
                 for b in range(a, top + 1):
                     push(v for v in interior if a <= g.levels[v] <= b)
         elif name == "descendant-subtrees":
-            parent, _depth = g.tree_arrays()
-            children = [[] for _ in range(g.n)]
-            for v, p in enumerate(parent):
-                if p != -1:
-                    children[p].append(v)
+            # the subtree of v is the run of the preorder from v's position
+            # that is as long as the subtree's size
+            parent, _, order = g.tree_arrays()
+            size = [1] * g.n
+            for v in reversed(order):
+                if parent[v] != UNREACHED:
+                    size[parent[v]] += size[v]
+            start = [0] * g.n
+            for i, v in enumerate(order):
+                start[v] = i
             for v in interior_sorted:
-                stack = [v]
-                sub = []
-                while stack:
-                    u = stack.pop()
-                    sub.append(u)
-                    stack.extend(children[u])
-                push(u for u in sub if u in interior)
+                push(u for u in order[start[v] : start[v] + size[v]] if u in interior)
         elif name == "random-connected":
             for _ in range(RC_COUNT):
                 target = rng.randint(1, min(RC_SIZE, len(interior)))

@@ -74,7 +74,7 @@ def _build_map(strategy, path_x, path_y):
     if strategy == "ends":
         t_x = jsonio.tree_from_graph(g_x)
         t_y = jsonio.tree_from_graph(g_y)
-        return tree_vertex_map(t_x, t_y).mapping, t_x.trunc, t_y.trunc, strategy
+        return tree_vertex_map(t_x, t_y), t_x.trunc, t_y.trunc, strategy
     if strategy == "identity":
         if g_x.n != g_y.n:
             raise InputError("identity map needs equal vertex counts")
@@ -222,17 +222,17 @@ def cmd_ends(args) -> int:
 def cmd_qi(args) -> int:
     tree_x, _ = _load_tree(getattr(args, "from"))
     tree_y, _ = _load_tree(args.to)
-    vm = tree_vertex_map(tree_x, tree_y)
+    mapping = tree_vertex_map(tree_x, tree_y)
     mode = "exact" if max(tree_x.n, tree_y.n) <= 400 else "sampled"
     constants = qi_constants(
-        vm, tree_x.graph, tree_y.graph, mode=mode, seed=args.seed, samples=args.samples
+        mapping, tree_x.graph, tree_y.graph, mode=mode, seed=args.seed, samples=args.samples
     )
     params = {"from": str(getattr(args, "from")), "to": str(args.to), "mode": mode}
     meta = {
         "constants": constants.as_json_dict(),
         "config": _config("qi", args.seed, args.out, params),
     }
-    jsonio.save_json(args.out, jsonio.vertex_map_to_dict(vm.mapping, meta=meta))
+    jsonio.save_json(args.out, jsonio.vertex_map_to_dict(mapping, meta=meta))
     print(
         f"wrote {args.out}: c_mult {constants.c_mult}, d_add {constants.d_add}, "
         f"surjectivity radius {constants.surj_radius}"

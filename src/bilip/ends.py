@@ -38,21 +38,18 @@ def leaf_intervals(t: RootedTree) -> tuple[list[int], list[int]]:
     depth D); use complete_core first otherwise.
     """
     _require_complete(t)
+    _, _, order = t.graph.tree_arrays()
+    children = t.children
     lo = [0] * t.n
     hi = [0] * t.n
     counter = 0
-    stack = [(t.root, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            hi[v] = counter
-            continue
+    for v in order:
         lo[v] = counter
-        if not t.children[v]:
+        if not children[v]:
             counter += 1
-        stack.append((v, True))
-        for c in reversed(t.children[v]):
-            stack.append((c, False))
+    for v in reversed(order):  # a subtree's leaves end where its last child's do
+        kids = children[v]
+        hi[v] = hi[kids[-1]] if kids else lo[v] + 1
     return lo, hi
 
 
@@ -170,22 +167,16 @@ def _first_mismatch(table, order, adjacent, depth: int) -> Optional[tuple[int, i
 def enumerate_ends(t: RootedTree) -> EndSpace:
     """One ray per depth-D leaf, in planar order, with agreement depths."""
     _require_complete(t)
+    _, depth, order = t.graph.tree_arrays()
     children = t.children
-    rays: list[tuple[int, ...]] = [] if children[t.root] else [(t.root,)]
-    # pending[d] iterates the unvisited children of path[d]; no recursion,
-    # so depth is not bounded by the interpreter's frame limit
-    path = [t.root]
-    pending = [iter(children[t.root])]
-    while pending:
-        c = next(pending[-1], None)
-        if c is None:
-            pending.pop()
-            path.pop()
-        elif children[c]:
-            path.append(c)
-            pending.append(iter(children[c]))
-        else:
-            rays.append((*path, c))
+    # path[d] is the last vertex met at depth d in preorder, so at a leaf it
+    # holds the leaf's ancestors; every leaf sits at depth D
+    path = [t.root] * (t.depth + 1)
+    rays = []
+    for v in order:
+        path[depth[v]] = v
+        if not children[v]:
+            rays.append(tuple(path))
     adjacent = []
     for a, b in zip(rays, rays[1:]):
         m = 0

@@ -4,16 +4,19 @@ Vertices are dense integers 0..n-1. Graphs are immutable after
 construction. Local queries (ball, sphere, boundary and the ball family
 of the Cheeger module) share one lazily grown BFS whose visited set is
 local to the call, so each costs O(|ball| * mu) rather than O(n).
-Distances keep no cache: a rooted tree walks its parent array, any other
-graph grows BFS layers only until the targets are reached, and bfs_row
-computes a fresh full row on every call. All-pairs work goes through
+A rooted tree is walked once, depth first: tree_arrays caches its parent
+and depth arrays and its preorder, and every tree walk of the package
+(subtrees, leaf intervals, rays, cores, retractions, the end-space
+vertex map) is a pass over that order. Distances keep no other cache: a
+rooted tree walks its parent array, any other graph grows BFS layers
+only until the targets are reached, and bfs_row computes a fresh full
+row on every call. All-pairs work goes through
 bit_bfs, which runs one BFS per bit of a big-integer mask, so a block of
 W sources costs one integer OR per edge per round and O(W * n) bits.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import islice
@@ -34,7 +37,8 @@ class UdbgGraph:
     level by at most 1.
     """
 
-    __slots__ = ("_adj", "root", "levels", "mu", "_tree_parent", "_tree_depth", "_is_tree")
+    __slots__ = ("_adj", "root", "levels", "mu", "_is_tree",
+                 "_tree_parent", "_tree_depth", "_tree_order")
 
     def __init__(
         self,
@@ -53,6 +57,7 @@ class UdbgGraph:
         self._is_tree: Optional[bool] = None
         self._tree_parent: Optional[list[int]] = None
         self._tree_depth: Optional[list[int]] = None
+        self._tree_order: Optional[list[int]] = None
         self._validate(n, adjacency)
 
     def _validate(self, n, raw_adjacency):
@@ -204,28 +209,34 @@ class UdbgGraph:
                 return
             reach = grown
 
-    def _tree_arrays(self):
-        if self._tree_parent is None:
-            parent = [UNREACHED] * len(self._adj)
-            depth = [UNREACHED] * len(self._adj)
-            depth[self.root] = 0
-            q = deque([self.root])
-            while q:
-                v = q.popleft()
-                for u in self._adj[v]:
-                    if depth[u] == UNREACHED:
-                        depth[u] = depth[v] + 1
-                        parent[u] = v
-                        q.append(u)
-            self._tree_parent = parent
-            self._tree_depth = depth
-        return self._tree_parent, self._tree_depth
+    def tree_arrays(self) -> tuple[list[int], list[int], list[int]]:
+        """(parent, depth, order) of a rooted tree, computed once; InputError
+        on any other graph.
 
-    def tree_arrays(self) -> tuple[list[int], list[int]]:
-        """(parent, depth) arrays for a rooted tree; InputError otherwise."""
+        order is the depth-first preorder from the root with children in
+        ascending id: parents come before children, every subtree is a
+        contiguous run, and leaves come in planar order. parent[root] is
+        UNREACHED. The walk keeps no visited set, so is_tree guards it.
+        """
         if self.root is None or not self.is_tree:
             raise InputError("graph is not a rooted tree")
-        return self._tree_arrays()
+        if self._tree_order is None:
+            adj = self._adj
+            parent = [UNREACHED] * len(adj)
+            depth = [0] * len(adj)
+            order = []
+            stack = [self.root]
+            while stack:
+                v = stack.pop()
+                order.append(v)
+                up, down = parent[v], depth[v] + 1
+                for u in reversed(adj[v]):
+                    if u != up:
+                        parent[u] = v
+                        depth[u] = down
+                        stack.append(u)
+            self._tree_parent, self._tree_depth, self._tree_order = parent, depth, order
+        return self._tree_parent, self._tree_depth, self._tree_order
 
     def tree_walk(self) -> Optional[Callable[[int, int], int]]:
         """d(u, v) on a rooted tree, walking both ends up to their common
@@ -233,7 +244,7 @@ class UdbgGraph:
         graph."""
         if self.root is None or not self.is_tree:
             return None
-        parent, depth = self._tree_arrays()
+        parent, depth, _ = self.tree_arrays()
 
         def walk(u: int, v: int) -> int:
             du, dv = depth[u], depth[v]

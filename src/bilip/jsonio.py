@@ -130,7 +130,8 @@ def load_json(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # undecodable bytes, bad syntax, over-long int literals, deep nesting
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -220,7 +221,7 @@ def tree_from_graph(g: UdbgGraph) -> RootedTree:
 
     A graph without level labels gets its depths as levels, in a copy.
     """
-    parent, depth = g.tree_arrays()
+    parent, depth, _ = g.tree_arrays()
     if g.levels is None:
         g = UdbgGraph([g.neighbors(v) for v in g.vertices()], root=g.root, levels=depth)
     elif list(g.levels) != depth:

@@ -15,12 +15,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, NoBoundedMatching
 from .cheeger import _boundary_sizes, _family_certificate, family_sets
 from .graph import Truncation, UdbgGraph
-from .qimaps import VertexMap, _exact_values, _max_distortion, _tree_distortion
+from .qimaps import _exact_values, _max_distortion, _tree_distortion
 from .trees import CheckResult
 
 # -- chains ----------------------------------------------------------------
@@ -46,10 +46,9 @@ class ZeroChain:
         return sum(self.coefficients.get(v, 0) for v in vertex_set)
 
 
-def deficiency_chain(vm: Union[VertexMap, dict], g_x: UdbgGraph, g_y: UdbgGraph) -> ZeroChain:
+def deficiency_chain(mapping: dict[int, int], g_x: UdbgGraph, g_y: UdbgGraph) -> ZeroChain:
     """Pushforward of the all-ones class minus the target's own: the
     coefficient at y is |preimage(y)| - 1, so the total is |V_X| - |V_Y|."""
-    mapping = vm.mapping if isinstance(vm, VertexMap) else dict(vm)
     if len(mapping) != g_x.n:
         raise InputError("vertex map must be total on the source graph")
     counts = [0] * g_y.n
@@ -256,7 +255,7 @@ class MatchingResult:
 
 
 def promote_matching(
-    vm: Union[VertexMap, dict],
+    mapping: dict[int, int],
     t_x: Truncation,
     t_y: Truncation,
     r_start: int = 0,
@@ -265,7 +264,7 @@ def promote_matching(
 ) -> MatchingResult:
     """Smallest radius whose candidate graph matches every interior vertex.
 
-    Candidates for x are target vertices within r of vm(x). Earlier radii
+    Candidates for x are target vertices within r of mapping[x]. Earlier radii
     must fail before a radius is accepted, certifying minimality within
     [r_start, r_max]; NoBoundedMatching past r_max signals failing
     hypotheses (no linear isoperimetric inequality, or a map too far from
@@ -276,7 +275,6 @@ def promote_matching(
     The matching's bilipschitz constant is exact at any size (see
     bilipschitz_constant).
     """
-    mapping = vm.mapping if isinstance(vm, VertexMap) else dict(vm)
     g_x, g_y = t_x.graph, t_y.graph
     if len(mapping) != g_x.n:
         raise InputError("vertex map must be total on the source graph")
@@ -329,7 +327,7 @@ def promote_matching(
 
 
 def bilipschitz_constant(
-    mapping: Union[VertexMap, dict],
+    mapping: dict[int, int],
     g_x: UdbgGraph,
     g_y: UdbgGraph,
 ) -> Fraction:
@@ -340,18 +338,17 @@ def bilipschitz_constant(
     qimaps._tree_distortion; between any other graphs, by the bit-parallel
     all-pairs kernel of qimaps._exact_values, in O(BLOCK * n) memory.
     """
-    pairs_map = mapping.mapping if isinstance(mapping, VertexMap) else dict(mapping)
-    if len(pairs_map) < 2:
+    if len(mapping) < 2:
         raise InputError("need at least two mapped vertices")
-    if len(set(pairs_map.values())) != len(pairs_map):
+    if len(set(mapping.values())) != len(mapping):
         raise InputError("map is not injective")
     if g_x.tree_walk() is not None and g_y.tree_walk() is not None:
-        return _tree_distortion(pairs_map, g_x, g_y)
-    return _max_distortion(_exact_values(pairs_map, g_x, g_y))
+        return _tree_distortion(mapping, g_x, g_y)
+    return _max_distortion(_exact_values(mapping, g_x, g_y))
 
 
 def verify_promotion_consistency(
-    vm: Union[VertexMap, dict],
+    mapping: dict[int, int],
     t_x: Truncation,
     t_y: Truncation,
     collar: int,
@@ -365,7 +362,7 @@ def verify_promotion_consistency(
     the best ratio; every family set must satisfy it witness-free.
     """
     families = list(families)
-    chain = deficiency_chain(vm, t_x.graph, t_y.graph)
+    chain = deficiency_chain(mapping, t_x.graph, t_y.graph)
     sets = family_sets(t_y, collar, families, seed)
     boundaries = _boundary_sizes(t_y.graph, sets)
     cert = _family_certificate(collar, families, seed, sets, boundaries)

@@ -14,11 +14,10 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
 
 from .errors import InputError
 from .ends import EndSpace, leaf_intervals, split_at_minimum
-from .graph import UdbgGraph
+from .graph import UNREACHED, UdbgGraph
 from .trees import RootedTree
 
 Interval = tuple[int, int]  # half-open
@@ -100,49 +99,42 @@ def hierarchical_end_map(es_a: EndSpace, es_b: EndSpace) -> EndMap:
     )
 
 
-@dataclass
-class VertexMap:
-    """Total map between vertex sets."""
-
-    mapping: dict[int, int]
-    n_source: int
-    n_target: int
-
-    def __getitem__(self, v: int) -> int:
-        return self.mapping[v]
-
-
-def induced_vertex_map(tree_t: RootedTree, tree_u: RootedTree, em: EndMap) -> VertexMap:
+def induced_vertex_map(tree_t: RootedTree, tree_u: RootedTree, em: EndMap) -> dict[int, int]:
     """Deepest-shadow vertex map.
 
     For each source vertex the rays through it form an interval; its image
     interval is contained in the shadows of a root-anchored path of target
     vertices, whose deepest member is the image. The root maps to the root.
+    A vertex's image interval is nested in its parent's, so the path of
+    the vertex runs through its parent's image, and the descent starts
+    there, in preorder.
     """
     lo_t, hi_t = leaf_intervals(tree_t)
     lo_u, hi_u = leaf_intervals(tree_u)
     if hi_t[tree_t.root] != em.n_source or hi_u[tree_u.root] != em.n_target:
         raise InputError("end map does not match the given trees")
-    mapping = {}
-    for v in range(tree_t.n):
+    parent, _, order = tree_t.graph.tree_arrays()
+    children = tree_u.children
+    image = [0] * tree_t.n
+    for v in order:
         blo, bhi = em.image_interval((lo_t[v], hi_t[v]))
-        w = tree_u.root
+        p = parent[v]
+        w = tree_u.root if p == UNREACHED else image[p]
         descended = True
         while descended:
             descended = False
-            kids = tree_u.children[w]
             # shadows of the children partition the shadow of w, so at
             # most one child can contain the image interval
-            for c in kids:
+            for c in children[w]:
                 if lo_u[c] <= blo and bhi <= hi_u[c]:
                     w = c
                     descended = True
                     break
-        mapping[v] = w
-    return VertexMap(mapping=mapping, n_source=tree_t.n, n_target=tree_u.n)
+        image[v] = w
+    return dict(enumerate(image))
 
 
-def tree_vertex_map(tree_t: RootedTree, tree_u: RootedTree) -> VertexMap:
+def tree_vertex_map(tree_t: RootedTree, tree_u: RootedTree) -> dict[int, int]:
     """End-to-end map between rooted trees, dead ends included.
 
     Cores are matched through their end spaces; vertices off the core ride
@@ -155,11 +147,7 @@ def tree_vertex_map(tree_t: RootedTree, tree_u: RootedTree) -> VertexMap:
     core_u = complete_core(tree_u)
     em = hierarchical_end_map(enumerate_ends(core_t.core), enumerate_ends(core_u.core))
     core_vm = induced_vertex_map(core_t.core, core_u.core, em)
-    mapping = {
-        v: core_u.core_to_orig[core_vm[core_t.retraction[v]]]
-        for v in range(tree_t.n)
-    }
-    return VertexMap(mapping=mapping, n_source=tree_t.n, n_target=tree_u.n)
+    return dict(enumerate(core_u.core_to_orig[core_vm[c]] for c in core_t.retraction))
 
 
 @dataclass(frozen=True)
@@ -369,7 +357,7 @@ def _sampled_values(
 
 
 def qi_constants(
-    vm: Union[VertexMap, dict],
+    mapping: dict[int, int],
     g_x: UdbgGraph,
     g_y: UdbgGraph,
     mode: str = "exact",
@@ -386,7 +374,6 @@ def qi_constants(
     is exact in every mode. c_step is the worst target distance across a
     single source edge.
     """
-    mapping = vm.mapping if isinstance(vm, VertexMap) else dict(vm)
     if len(mapping) != g_x.n:
         raise InputError("vertex map must be total on the source graph")
     if mode == "exact":

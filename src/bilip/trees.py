@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import ConstructionError, InputError
-from .graph import Truncation, UdbgGraph
+from .graph import UNREACHED, Truncation, UdbgGraph
 
 DEFAULT_VERTEX_BUDGET = 500_000
 
@@ -277,9 +277,12 @@ def check_pseudo_regular(t: RootedTree, K: int) -> CheckResult:
 
 
 def _subtree_max_level(t: RootedTree) -> list[int]:
-    out = [0] * t.n
-    for v in sorted(range(t.n), key=t.level, reverse=True):
-        out[v] = max([t.level(v)] + [out[c] for c in t.children[v]])
+    parent, depth, order = t.graph.tree_arrays()
+    out = list(depth)
+    for v in reversed(order):  # children before parents
+        p = parent[v]
+        if p != UNREACHED and out[v] > out[p]:
+            out[p] = out[v]
     return out
 
 
@@ -328,7 +331,7 @@ def check_visual(t: RootedTree, C: int) -> CheckResult:
 @dataclass(frozen=True)
 class CoreResult:
     core: RootedTree
-    retraction: dict  # original id -> core id
+    retraction: list[int]  # core id of each original vertex
     core_to_orig: tuple[int, ...]
 
 
@@ -343,21 +346,18 @@ def complete_core(t: RootedTree) -> CoreResult:
     """
     if is_complete(t):
         ids = tuple(range(t.n))
-        return CoreResult(core=t, retraction=dict(enumerate(ids)), core_to_orig=ids)
+        return CoreResult(core=t, retraction=list(ids), core_to_orig=ids)
+    parent, _, order = t.graph.tree_arrays()
+    root = t.root
     keep = core_vertices(t)
-    new_id = {orig: i for i, orig in enumerate(keep)}
-    parents: list[Optional[int]] = []
-    for orig in keep:
-        p = t.parent[orig]
-        parents.append(None if p is None else new_id[p])
-    levels = [t.level(orig) for orig in keep]
-    graph = UdbgGraph(_adjacency(parents), root=new_id[t.root], levels=levels)
+    retraction = [UNREACHED] * t.n  # the core ids of core vertices first
+    for i, v in enumerate(keep):
+        retraction[v] = i
+    parents = [None if v == root else retraction[parent[v]] for v in keep]
+    levels = [t.level(v) for v in keep]
+    graph = UdbgGraph(_adjacency(parents), root=retraction[root], levels=levels)
     core = RootedTree._over(graph, parents)
-    retraction = {}
-    keep_set = set(keep)
-    for v in range(t.n):
-        a = v
-        while a not in keep_set:
-            a = t.parent[a]
-        retraction[v] = new_id[a]
+    for v in order:  # the root is in the core, and parents come first
+        if retraction[v] == UNREACHED:
+            retraction[v] = retraction[parent[v]]
     return CoreResult(core=core, retraction=retraction, core_to_orig=tuple(keep))

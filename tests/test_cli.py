@@ -352,6 +352,18 @@ def test_malformed_graph_json_is_input_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+    # text the JSON decoder cannot take: nesting past the recursion limit,
+    # bytes that are not UTF-8, an int literal past the digit limit
+    for name, raw in (
+        ("deep.json", b"[" * 100_000),
+        ("utf16.json", b"\xff\xfe" + '{"vertices": []}'.encode("utf-16-le")),
+        ("digits.json", b'{"vertices": [{"id": ' + b"7" * 5000 + b'}], "edges": []}'),
+    ):
+        path = tmp_path / name
+        path.write_bytes(raw)
+        assert run("cheeger", "--graph", str(path)) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed JSON in ") and "Traceback" not in err, name
 
 
 def test_construction_budget_error_exit_code(tmp_path, capsys):
@@ -430,6 +442,13 @@ PINNED_REPORTS = (
     ("fill --space circle --levels 8 --resolution 512 --scale 1/2 --tau 3/2 --seed 3 "
      "--out fc.json",
      "57add1759191c1273cd2915e9bddc338e9b44397d51e90a6f899017fdb69c8d9"),
+    # descendant subtrees of a tree with dead ends, which is not complete
+    ("cheeger --graph g.json --collar 1 "
+     "--families balls,level-bands,descendant-subtrees,random-connected --out cg.json",
+     "e31b6b632afe2bd0fd422724fb883f29499e050c1e643dd6ea80a36cb66e3beb"),
+    # the end map onto g.json retracts its dead ends onto the core
+    ("qi --from pr.json --to g.json --out qg.json",
+     "e76f0ea7ee28e3d3bbac4600ed0e98cec2f1f0616ef750bec3b04caa6b62ffed"),
 )
 
 PINNED_INPUTS = (

@@ -121,7 +121,7 @@ def test_promote_saturates_interior_recount():
     targets = list(res.pairs.values())
     assert len(set(targets)) == len(targets)  # injective
     for x, y in res.pairs.items():
-        assert tb.graph.distance(vm.mapping[x], y) <= res.r
+        assert tb.graph.distance(vm[x], y) <= res.r
 
 
 def test_promote_succeeds_at_larger_radius_too():

@@ -170,12 +170,12 @@ def test_qi_constants_match_two_pass_reference():
     fa, fb = (build_filling(make_space("cantor13", 6), Fraction(1, 3), Fraction(15, 4), 4, seed=s)
               for s in (1, 2))
     cases = [
-        (tree_vertex_map(gen_kary(2, 4), gen_kary(4, 2)).mapping,
+        (tree_vertex_map(gen_kary(2, 4), gen_kary(4, 2)),
          gen_kary(2, 4).graph, gen_kary(4, 2).graph),
         # not injective: pairs with coinciding images count for d_add only
         ({v: retraction.retraction[v] for v in range(grafted.n)},
          grafted.graph, retraction.core.graph),
-        (tree_vertex_map(gen_kary(3, 4), gen_kary(2, 6)).mapping,
+        (tree_vertex_map(gen_kary(3, 4), gen_kary(2, 6)),
          gen_kary(3, 4).graph, gen_kary(2, 6).graph),
         (nearest_center_map(fa, fb), fa.graph, fb.graph),  # not a tree
         # mixed sides: one tree and one filling, both ways
@@ -362,9 +362,9 @@ def test_tree_vertex_map_handles_dead_ends():
     x = graft_dead_ends(gen_kary(2, 5), 2, seed=4)
     y = gen_kary(2, 5)
     vm = tree_vertex_map(x, y)
-    assert len(vm.mapping) == x.n
+    assert len(vm) == x.n
     core = complete_core(x)
     for v in range(x.n):
         # a dead-end vertex lands where its attach point lands
         anchor = core.core_to_orig[core.retraction[v]]
-        assert vm.mapping[v] == vm.mapping[anchor]
+        assert vm[v] == vm[anchor]
