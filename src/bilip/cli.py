@@ -114,7 +114,7 @@ def cmd_gen_tree(args) -> int:
     else:  # stretched
         tree = graft_dead_ends(gen_kary(args.k, args.depth), lambda l: l, args.seed)
     meta = {"generator": params, "config": _config("gen-tree", args.seed, args.out, params)}
-    jsonio.save_json(args.out, jsonio.tree_to_dict(tree, meta=meta))
+    jsonio.save_json(args.out, jsonio.graph_to_dict(tree.graph, meta))
     print(f"wrote {args.out}: {tree.n} vertices, depth {tree.depth}")
     return 0
 

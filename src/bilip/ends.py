@@ -7,7 +7,9 @@ them), so no floats appear anywhere.
 
 Rays are enumerated in planar (DFS) order. In that order the agreement
 depth of any pair equals the minimum over consecutive pairs between them,
-which is what lets large spaces carry the full table implicitly. A range
+which is what lets large spaces carry the full table implicitly: an end
+space stores only the consecutive depths, read off the tree's cached
+preorder, and no ray as a vertex path. A range
 minimum is an ultrametric by identity, so ray-built spaces need no check;
 verify_ultrametric checks hand-built tables (EndSpace.from_table) exactly
 in O(n^2), through the leaf order of their single-linkage dendrogram.
@@ -20,6 +22,7 @@ from itertools import chain
 from typing import Optional
 
 from .errors import InputError
+from .graph import UNREACHED
 from .trees import CheckResult, RootedTree, is_complete
 
 
@@ -38,24 +41,26 @@ def leaf_intervals(t: RootedTree) -> tuple[list[int], list[int]]:
     depth D); use complete_core first otherwise.
     """
     _require_complete(t)
-    _, _, order = t.graph.tree_arrays()
-    children = t.children
+    parent, depth, order = t.graph.tree_arrays()
+    full = t.depth  # the leaves are the vertices at depth D
     lo = [0] * t.n
     hi = [0] * t.n
     counter = 0
     for v in order:
         lo[v] = counter
-        if not children[v]:
+        if depth[v] == full:
             counter += 1
+            hi[v] = counter
     for v in reversed(order):  # a subtree's leaves end where its last child's do
-        kids = children[v]
-        hi[v] = hi[kids[-1]] if kids else lo[v] + 1
+        p = parent[v]
+        if p != UNREACHED and not hi[p]:  # the last child comes first
+            hi[p] = hi[v]
     return lo, hi
 
 
 @dataclass
 class EndSpace:
-    """Rays plus their integer agreement-depth table.
+    """The integer agreement-depth table of the rays in planar order.
 
     The table is stored as the consecutive-pair array `adjacent`; arbitrary
     entries are range minima over it. (F|F) is carried as the sentinel
@@ -65,7 +70,6 @@ class EndSpace:
 
     depth: int
     mu: int
-    rays: Optional[tuple[tuple[int, ...], ...]]
     adjacent: Optional[tuple[int, ...]]
     explicit: Optional[tuple[tuple[int, ...], ...]] = None
 
@@ -87,7 +91,6 @@ class EndSpace:
         return cls(
             depth=depth,
             mu=mu,
-            rays=None,
             adjacent=None,
             explicit=tuple(tuple(row) for row in table),
         )
@@ -96,7 +99,7 @@ class EndSpace:
     def n(self) -> int:
         if self.explicit is not None:
             return len(self.explicit)
-        return len(self.rays)
+        return len(self.adjacent) + 1
 
     def product(self, i: int, j: int) -> int:
         """Agreement depth of rays i and j; equals depth iff i == j."""
@@ -165,30 +168,16 @@ def _first_mismatch(table, order, adjacent, depth: int) -> Optional[tuple[int, i
 
 
 def enumerate_ends(t: RootedTree) -> EndSpace:
-    """One ray per depth-D leaf, in planar order, with agreement depths."""
+    """One ray per depth-D leaf, in planar order, with agreement depths.
+
+    In preorder the vertex after a leaf is a child of the deepest vertex
+    the leaf's ray shares with the next ray, one level below it.
+    """
     _require_complete(t)
     _, depth, order = t.graph.tree_arrays()
-    children = t.children
-    # path[d] is the last vertex met at depth d in preorder, so at a leaf it
-    # holds the leaf's ancestors; every leaf sits at depth D
-    path = [t.root] * (t.depth + 1)
-    rays = []
-    for v in order:
-        path[depth[v]] = v
-        if not children[v]:
-            rays.append(tuple(path))
-    adjacent = []
-    for a, b in zip(rays, rays[1:]):
-        m = 0
-        while a[m + 1] == b[m + 1]:
-            m += 1
-        adjacent.append(m)
-    return EndSpace(
-        depth=t.depth,
-        mu=t.graph.mu,
-        rays=tuple(rays),
-        adjacent=tuple(adjacent),
-    )
+    full = t.depth
+    adjacent = [depth[w] - 1 for v, w in zip(order, order[1:]) if depth[v] == full]
+    return EndSpace(depth=full, mu=t.graph.mu, adjacent=tuple(adjacent))
 
 
 # -- metric checks ---------------------------------------------------------
@@ -275,22 +264,23 @@ def doubling_check(es: EndSpace) -> tuple[bool, int]:
 
     Members of a ball with common prefix depth M are grouped by their
     vertex two steps past M; groups lie within half the radius, and the
-    degree bound caps the group count by mu^2. Returns (all counts within
-    mu^2, max count observed).
+    degree bound caps the group count by mu^2. Rays r and r+1 share their
+    vertex at depth `step` exactly when adjacent[r] >= step, so each group
+    is a run and a ball's group count is one more than its cuts below
+    `step`. Returns (all counts within mu^2, max count observed).
     """
-    if es.rays is None:
+    if es.explicit is not None:
         raise InputError("doubling check needs rays, not just a table")
     if es.depth < 3:
         raise InputError("doubling check needs depth >= 3")
-    adjacent = es.consistent_adjacent()
-    n = es.n
+    adjacent = es.adjacent
     bound = es.mu * es.mu
     max_parts = 1
-    for lo, hi, m, _parent in _hierarchy(adjacent, n):
+    for lo, hi, m, _parent in _hierarchy(adjacent, es.n):
         if m is None:
             continue  # single ray, one ball covers it
         step = min(m + 2, es.depth)
-        parts = len({es.rays[r][step] for r in range(lo, hi)})
+        parts = 1 + sum(adjacent[r] < step for r in range(lo, hi - 1))
         if parts > max_parts:
             max_parts = parts
     return (max_parts <= bound, max_parts)

@@ -163,9 +163,6 @@ class Filling:
     def center_value(self, v: int) -> Fraction:
         return self.space.points[self.centers[v]]
 
-    def radius(self, v: int) -> Fraction:
-        return self.scale ** self.graph.levels[v]
-
     def level_sizes(self) -> list[int]:
         sizes = [0] * (self.max_level + 1)
         for l in self.graph.levels:

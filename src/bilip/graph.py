@@ -5,8 +5,9 @@ construction. Local queries (ball, sphere, boundary and the ball family
 of the Cheeger module) share one lazily grown BFS whose visited set is
 local to the call, so each costs O(|ball| * mu) rather than O(n).
 A rooted tree is walked once, depth first: tree_arrays caches its parent
-and depth arrays and its preorder, and every tree walk of the package
-(subtrees, leaf intervals, rays, cores, retractions, the end-space
+and depth arrays and its preorder, the only copy of the tree's shape,
+and every tree walk of the package (subtrees, leaf intervals, ray
+agreement depths, completeness, cores, retractions, the end-space
 vertex map) is a pass over that order. Distances keep no other cache: a
 rooted tree walks its parent array, any other graph grows BFS layers
 only until the targets are reached, and bfs_row computes a fresh full

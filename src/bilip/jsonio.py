@@ -5,9 +5,14 @@ The JSON graph schema is
      "edges": [[u, v], ...],        # u < v, listed once, sorted
      "root": 0,                     # optional
      "meta": {...}}
-Rationals serialize as {"num": int, "den": int}; certificate fields never
-carry floats. All writers emit canonical bytes (sorted keys, two-space
-indent, trailing newline) so reruns are byte-identical.
+A tree file is that graph alone: parents follow from the root and the
+edges. A filling adds its model space, scale, tau, seed and one center
+per vertex to meta; a vertex's radius is scale ** level. Readers ignore
+meta keys they do not use, so older files with meta.parent or
+meta.radius load the same. Rationals serialize as {"num": int, "den":
+int}; certificate fields never carry floats. All writers emit canonical
+bytes (sorted keys, two-space indent, trailing newline) so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Optional, Union
 
 from .errors import ConstructionError, InputError
 from .filling import Filling, make_space
-from .graph import UNREACHED, UdbgGraph
+from .graph import Truncation, UdbgGraph
 from .trees import DEFAULT_VERTEX_BUDGET, RootedTree
 
 
@@ -210,23 +215,17 @@ def graph_from_dict(d: dict) -> tuple[UdbgGraph, dict]:
     return g, meta
 
 
-def tree_to_dict(t: RootedTree, meta: Optional[dict] = None) -> dict:
-    full = dict(meta or {})
-    full["parent"] = [p if p is not None else None for p in t.parent]
-    return graph_to_dict(t.graph, meta=full)
-
-
 def tree_from_graph(g: UdbgGraph) -> RootedTree:
     """The rooted-tree view of a loaded graph, sharing it.
 
     A graph without level labels gets its depths as levels, in a copy.
     """
-    parent, depth, _ = g.tree_arrays()
+    _, depth, _ = g.tree_arrays()
     if g.levels is None:
         g = UdbgGraph([g.neighbors(v) for v in g.vertices()], root=g.root, levels=depth)
     elif list(g.levels) != depth:
         raise InputError("level labels disagree with distance from the root")
-    return RootedTree._over(g, [None if p == UNREACHED else p for p in parent])
+    return RootedTree(Truncation.from_graph(g))
 
 
 def filling_to_dict(f: Filling) -> dict:
@@ -237,7 +236,6 @@ def filling_to_dict(f: Filling) -> dict:
         "tau": rational(f.tau),
         "seed": f.seed,
         "centers": [rational(f.center_value(v)) for v in f.graph.vertices()],
-        "radius": [rational(f.radius(v)) for v in f.graph.vertices()],
     }
     return graph_to_dict(f.graph, meta=meta)
 
@@ -288,6 +286,8 @@ def vertex_map_from_dict(d: dict) -> dict[int, int]:
             x = int(k)
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad map entry {k!r}: {v!r}") from exc
+        if str(x) != k:  # "01" or " 1" would name vertex 1 a second time
+            raise InputError(f"map key {k!r} is not written as the id {x}")
         if not _is_int(v):
             raise InputError(f"bad map entry {k!r}: {v!r}")
         out[x] = v

@@ -114,7 +114,10 @@ def induced_vertex_map(tree_t: RootedTree, tree_u: RootedTree, em: EndMap) -> di
     if hi_t[tree_t.root] != em.n_source or hi_u[tree_u.root] != em.n_target:
         raise InputError("end map does not match the given trees")
     parent, _, order = tree_t.graph.tree_arrays()
-    children = tree_u.children
+    parent_u, _, order_u = tree_u.graph.tree_arrays()
+    children = [[] for _ in range(tree_u.n)]
+    for w in order_u[1:]:  # ascending ids within each list, as in preorder
+        children[parent_u[w]].append(w)
     image = [0] * tree_t.n
     for v in order:
         blo, bhi = em.image_interval((lo_t[v], hi_t[v]))

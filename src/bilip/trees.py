@@ -32,9 +32,11 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class RootedTree:
+    """A rooted tree whose levels are the depths, seen through its
+    truncation; parents, children and leaves come from the graph's
+    tree_arrays."""
+
     trunc: Truncation
-    parent: tuple[Optional[int], ...]
-    children: tuple[tuple[int, ...], ...]
 
     @property
     def graph(self) -> UdbgGraph:
@@ -87,24 +89,8 @@ class RootedTree:
                 stack.append(c)
         if min(levels) < 0:
             raise InputError("parent array does not describe a connected tree")
-        return cls._over(UdbgGraph(_adjacency(parents), root=root, levels=levels), parents)
-
-    @classmethod
-    def _over(cls, graph: UdbgGraph, parents: Sequence[Optional[int]]) -> "RootedTree":
-        """The tree view of a validated rooted tree whose levels are the depths.
-
-        parents[v] is the parent of v (None at the root); the view shares
-        `graph` and derives its children and truncation from it.
-        """
-        children = [[] for _ in range(graph.n)]
-        for v, p in enumerate(parents):
-            if p is not None:
-                children[p].append(v)
-        return cls(
-            trunc=Truncation.from_graph(graph),
-            parent=tuple(parents),
-            children=tuple(map(tuple, children)),
-        )
+        graph = UdbgGraph(_adjacency(parents), root=root, levels=levels)
+        return cls(Truncation.from_graph(graph))
 
 
 def _adjacency(parents: Sequence[Optional[int]]) -> list[list[int]]:
@@ -232,7 +218,7 @@ def graft_dead_ends(
     depth = t.depth
     lengths = _normalize_schedule(schedule, depth)
     rng = random.Random(seed)
-    parents = list(t.parent)
+    parents = [None if p == UNREACHED else p for p in t.graph.tree_arrays()[0]]
     by_level: dict[int, list[int]] = {}
     for v in range(t.n):
         by_level.setdefault(t.level(v), []).append(v)
@@ -262,13 +248,14 @@ def check_pseudo_regular(t: RootedTree, K: int) -> CheckResult:
     depth = t.depth
     if not 1 <= K <= depth - 1:
         raise InputError(f"K must be in 1..{depth - 1}")
+    parent = t.graph.tree_arrays()[0]
     counts = [0] * t.n
     for v in range(t.n):
         if t.level(v) < K:
             continue
         a = v
         for _ in range(K):
-            a = t.parent[a]
+            a = parent[a]
         counts[a] += 1
     for a in range(t.n):
         if t.level(a) <= depth - K and counts[a] < 2:
@@ -298,10 +285,14 @@ def is_complete(t: RootedTree) -> bool:
     Equivalent to len(core_vertices(t)) == t.n: a vertex is off the core
     exactly when no leaf below it reaches depth D, so the core is
     everything precisely when every childless vertex sits at level D.
+    In preorder a vertex is childless exactly when the next vertex is no
+    deeper, and the last vertex is always childless.
     """
-    depth = t.depth
-    levels = t.graph.levels
-    return all(kids or levels[v] == depth for v, kids in enumerate(t.children))
+    _, depth, order = t.graph.tree_arrays()
+    full = t.depth
+    return depth[order[-1]] == full and all(
+        depth[v] == full or depth[w] > depth[v] for v, w in zip(order, order[1:])
+    )
 
 
 def check_visual(t: RootedTree, C: int) -> CheckResult:
@@ -356,7 +347,7 @@ def complete_core(t: RootedTree) -> CoreResult:
     parents = [None if v == root else retraction[parent[v]] for v in keep]
     levels = [t.level(v) for v in keep]
     graph = UdbgGraph(_adjacency(parents), root=retraction[root], levels=levels)
-    core = RootedTree._over(graph, parents)
+    core = RootedTree(Truncation.from_graph(graph))
     for v in order:  # the root is in the core, and parents come first
         if retraction[v] == UNREACHED:
             retraction[v] = retraction[parent[v]]

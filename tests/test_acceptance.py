@@ -19,6 +19,8 @@ from bilip.promote import promote_matching, verify_promotion_consistency
 from bilip.qimaps import tree_vertex_map
 from bilip.trees import gen_kary, gen_path, gen_random_pseudo_regular, graft_dead_ends
 
+from tree_fixtures import tree_facts
+
 THIRD = Fraction(1, 3)
 TREE_FAMILIES = ["balls", "level-bands", "descendant-subtrees", "random-connected"]
 GRAPH_FAMILIES = ["balls", "level-bands", "random-connected"]
@@ -146,12 +148,14 @@ def test_criterion_03_ultrametric_exactness():
 
 def test_criterion_04_doubling_bound():
     budget = Budget(5)
-    es = enumerate_ends(gen_kary(2, 8))
+    t = gen_kary(2, 8)
+    es = enumerate_ends(t)
     passed, observed = doubling_check(es)
     assert passed and observed <= es.mu**2 == 9
 
     # brute-force partition count, straight from the materialized table
     table = es.table()
+    rays = tree_facts(t).rays
     worst = 1
     for f in range(es.n):
         for level in range(1, es.depth + 1):
@@ -160,7 +164,7 @@ def test_criterion_04_doubling_bound():
                 continue
             common = min(table[a][b] for a in ball for b in ball if a != b)
             step = min(common + 2, es.depth)
-            worst = max(worst, len({es.rays[g][step] for g in ball}))
+            worst = max(worst, len({rays[g][step] for g in ball}))
     assert observed == worst == 4
     budget.check()
     announce(4, "doubling bound", budget)

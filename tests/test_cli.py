@@ -13,6 +13,8 @@ from bilip.ends import enumerate_ends
 from bilip.filling import build_filling, make_space
 from bilip.trees import gen_kary
 
+from tree_fixtures import tree_facts
+
 
 def run(*argv):
     return main(list(argv))
@@ -111,7 +113,7 @@ def test_ends_property_failure_exits_one(tmp_path, capsys):
     from bilip.trees import gen_path
 
     path_tree = tmp_path / "path.json"
-    jsonio.save_json(path_tree, jsonio.tree_to_dict(gen_path(5)))
+    jsonio.save_json(path_tree, jsonio.graph_to_dict(gen_path(5).graph))
     out = tmp_path / "report.json"
     # a single ray has no neighbor at any scale, so perfectness fails
     assert run("ends", "--graph", str(path_tree), "--check", "perfect", "--out", str(out)) == 1
@@ -382,15 +384,15 @@ PINNED_REPORTS = (
     # the generated trees themselves, one per generator kind; x and y are
     # also the inputs of the first promote below
     ("gen-tree --kind kary --k 3 --depth 6 --out x.json",
-     "71c90cae4c9dc65c442e683d87ffed55ca9f6e5ce8cb2995027a509763443224"),
+     "a31a52e0fba292169a590b918f6e898966ef130320310fa1768bdede3af2af28"),
     ("gen-tree --kind kary --k 4 --depth 5 --out y.json",
-     "6d877646fa74d1d473c70c8f3398fa0c484db5e16bb203ba3c4a9be5000cd14b"),
+     "51e8bafb34c5d865c7629a35ae1ddb1f1c0cf1d32bc64a39ee552ca032503ec1"),
     ("gen-tree --kind stretched --depth 6 --seed 7 --out s6.json",
-     "3392ddee5055514093fa6ee4f48862c584001e8560538571bb5a05ffdb4ac2e4"),
+     "1d56108a8a6cc28bb7573b124a13c18d685db6e0e97f7954543410be5720df51"),
     ("gen-tree --kind grafted --k 3 --depth 5 --dead-end-len 3 --seed 2 --out g.json",
-     "68da26712fa013fff0a96f3d76fa0cfee94809cf8e195588f13b4f8e0f16447a"),
+     "d0367de658d657b9de9f11b04899259fc45e6774b9ea1ea8509dd744c33f4ec2"),
     ("gen-tree --kind pseudo-regular --depth 6 --branch-K 2 --mu 4 --seed 3 --out pr.json",
-     "72fc8afa005af5f1f11c2fa243992d08e96eda744577edb2abc538b66fdd562c"),
+     "e59fb7970f61500eb637f9dfa8d931449feb9692289ee12f1779bae9b4553449"),
     # 3-ary d6 -> 4-ary d5 leaves 475 unmatched targets on the truncation
     # sphere and 7 one level in, so the confinement sweep's pruning of
     # depth-0 targets is exercised
@@ -435,13 +437,13 @@ PINNED_REPORTS = (
     # filling, and grids whose nets and windows wrap on the circle
     ("fill --space cantor13 --levels 9 --resolution 10 --scale 1/3 --tau 15/4 --seed 1 "
      "--out fill10.json",
-     "3fcd0847a8dddf20faa590e5ef816aa679a8d232b69c8a053b9510616b7b7487"),
+     "3e7dd19ebc39c85f37b34848c7719ce4c4037434bef40bf57c86a3e6c5611725"),
     ("fill --space interval --levels 8 --resolution 512 --scale 1/2 --tau 1 --seed 3 "
      "--out fi.json",
-     "f817cd8cf0cefb4cd668048bff8ce020e8840764d404e6aa694a15b766f0bba5"),
+     "20fae04cad77ed7a73eff3b16afaedc6584726d5a6d6bc0b4d09ae62d71ae72e"),
     ("fill --space circle --levels 8 --resolution 512 --scale 1/2 --tau 3/2 --seed 3 "
      "--out fc.json",
-     "57add1759191c1273cd2915e9bddc338e9b44397d51e90a6f899017fdb69c8d9"),
+     "90a3fcc85b8e8ee76dbb36836215ff58e4fd83073cbbee681cd94e366fd4a746"),
     # descendant subtrees of a tree with dead ends, which is not complete
     ("cheeger --graph g.json --collar 1 "
      "--families balls,level-bands,descendant-subtrees,random-connected --out cg.json",
@@ -508,7 +510,7 @@ def test_trees_deeper_than_the_recursion_limit(tmp_path, capsys):
     from bilip.trees import gen_path
 
     deep = tmp_path / "deep.json"
-    jsonio.save_json(deep, jsonio.tree_to_dict(gen_path(1200)))
+    jsonio.save_json(deep, jsonio.graph_to_dict(gen_path(1200).graph))
     # a single ray has no neighbour at any scale, so perfectness fails
     assert run("ends", "--graph", str(deep), "--check", "perfect") == 1
     assert run("qi", "--from", str(deep), "--to", str(deep), "--samples", "2000",
@@ -525,9 +527,69 @@ def test_map_file_must_hold_an_object(tmp_path, capsys):
     assert err.startswith("error: ") and "'map' object" in err
 
 
+def test_map_keys_must_name_each_vertex_once(tmp_path, capsys):
+    a = gen_tree(tmp_path, "a.json", "--kind", "kary", "--k", "2", "--depth", "3")
+    identity = {str(v): v for v in range(15)}
+    spaced = {(" 3" if k == "3" else k): v for k, v in identity.items()}
+    # int() reads "01" and " 3" as 1 and 3: the first would silently
+    # remap vertex 1 to 9, the second would pass as vertex 3
+    for name, entries, key in (("dup.json", {**identity, "01": 9}, "'01'"),
+                               ("space.json", spaced, "' 3'")):
+        bad = tmp_path / name
+        bad.write_text(json.dumps({"map": entries}))
+        assert run("promote", "--from", str(a), "--to", str(a), "--map", str(bad)) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err, name
+
+
+def test_files_with_the_dropped_meta_fields_load_the_same(tmp_path, monkeypatch, capsys):
+    """Tree files used to carry meta.parent and fillings meta.radius;
+    readers ignore both, so the reports on such files are the same bytes."""
+    new, old = tmp_path / "new", tmp_path / "old"
+    new.mkdir()
+    old.mkdir()
+    monkeypatch.chdir(new)
+    for command in ("gen-tree --kind kary --k 2 --depth 4 --out t.json",
+                    "gen-tree --kind grafted --k 3 --depth 3 --dead-end-len 2 --seed 1 "
+                    "--out u.json",
+                    "fill --space interval --levels 5 --scale 1/2 --tau 3/2 --seed 0 --out f.json",
+                    "fill --space interval --levels 5 --scale 1/2 --tau 3/2 --seed 2 --out h.json"):
+        assert run(*command.split()) == 0
+    for name in ("t.json", "u.json"):
+        data = json.loads((new / name).read_text())
+        assert "parent" not in data["meta"]
+        tree = jsonio.tree_from_graph(jsonio.graph_from_dict(data)[0])
+        data["meta"]["parent"] = tree_facts(tree).parent
+        jsonio.save_json(old / name, data)
+    for name in ("f.json", "h.json"):
+        data = json.loads((new / name).read_text())
+        assert "radius" not in data["meta"]
+        data["meta"]["radius"] = [jsonio.rational(Fraction(1, 2) ** v["level"])
+                                  for v in data["vertices"]]
+        jsonio.save_json(old / name, data)
+    commands = (
+        "promote --from t.json --to u.json --map ends --collar 1 --out p.json",
+        "qi --from t.json --to u.json --out qi.json",
+        "ends --graph t.json --out e.json",
+        "cheeger --graph u.json --collar 1 --out c.json",
+        "promote --from f.json --to h.json --map nearest-center --collar 1 --out pf.json",
+        "cheeger --graph f.json --collar 1 --out cf.json",
+    )
+    reports = {}
+    for directory in (new, old):
+        monkeypatch.chdir(directory)
+        for command in commands:
+            argv = command.split()
+            assert run(*argv) == 0, command
+            out = argv[argv.index("--out") + 1]
+            reports.setdefault(out, []).append((directory / out).read_bytes())
+    assert all(a == b for a, b in reports.values())
+    capsys.readouterr()
+
+
 def test_graph_meta_must_be_an_object(tmp_path, capsys):
     g = tmp_path / "g.json"
-    data = jsonio.tree_to_dict(gen_kary(2, 3))
+    data = jsonio.graph_to_dict(gen_kary(2, 3).graph)
     data["meta"] = 5
     g.write_text(json.dumps(data))
     assert run("promote", "--from", str(g), "--to", str(g)) == 2
@@ -547,7 +609,7 @@ def test_negative_collar_is_input_error(tmp_path, capsys):
         assert err.startswith("error: collar width must be nonnegative"), argv
 
 
-VALID_TREE = jsonio.tree_to_dict(gen_kary(2, 3))
+VALID_TREE = jsonio.graph_to_dict(gen_kary(2, 3).graph)
 VALID_MAP = jsonio.vertex_map_to_dict({v: v for v in range(15)})
 VALID_FILLING = jsonio.filling_to_dict(
     build_filling(make_space("cantor13", 5), Fraction(1, 3), Fraction(15, 4), 3, seed=1)

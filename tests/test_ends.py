@@ -20,38 +20,42 @@ from bilip.trees import (
     gen_path,
     gen_random_pseudo_regular,
     graft_dead_ends,
+    is_complete,
 )
 
-from tree_fixtures import add_dead_end
+from tree_fixtures import add_dead_end, tree_facts
 
 
 def lca_depth_oracle(t, leaf_a, leaf_b):
     """Agreement depth via parent walks, independent of ray arrays."""
+    parent = tree_facts(t).parent
     anc = {}
     v = leaf_a
     while v is not None:
         anc[v] = t.level(v)
-        v = t.parent[v]
+        v = parent[v]
     v = leaf_b
     while v not in anc:
-        v = t.parent[v]
+        v = parent[v]
     return t.level(v)
 
 
 def test_enumerate_counts_and_shapes():
-    es = enumerate_ends(gen_kary(2, 3))
+    t = gen_kary(2, 3)
+    es = enumerate_ends(t)
     assert es.n == 8
-    assert all(len(r) == 4 for r in es.rays)
+    assert all(len(r) == 4 for r in tree_facts(t).rays)
 
     es1 = enumerate_ends(gen_path(5))
     assert es1.n == 1
     assert es1.table() == [[5]]
 
-    es9 = enumerate_ends(gen_kary(3, 2))
-    assert es9.n == 9
     t = gen_kary(3, 2)
+    es9 = enumerate_ends(t)
+    assert es9.n == 9
+    rays = tree_facts(t).rays
     for i, j in itertools.combinations(range(9), 2):
-        if es9.rays[i][1] != es9.rays[j][1]:
+        if rays[i][1] != rays[j][1]:
             assert es9.product(i, j) == 0
 
 
@@ -64,7 +68,7 @@ def test_enumerate_rejects_incomplete_trees():
 def test_products_match_lca_oracle():
     for tree in (gen_kary(2, 5), complete_core(graft_dead_ends(gen_kary(2, 5), 2, 3)).core):
         es = enumerate_ends(tree)
-        leaves = [r[-1] for r in es.rays]
+        leaves = [r[-1] for r in tree_facts(tree).rays]
         rng = random.Random(0)
         for _ in range(300):
             i = rng.randrange(es.n)
@@ -86,13 +90,14 @@ def test_table_matches_products():
 def test_end_distance_trivia():
     t = gen_kary(2, 3)
     es = enumerate_ends(t)
+    rays = tree_facts(t).rays
     assert es.product(3, 3) == 3  # the depth sentinel: distance zero
     assert es.product(0, es.n - 1) == 0  # split at the root: maximal
     # rays sharing exactly the level-1 vertex
     pairs = [
         (i, j)
         for i, j in itertools.combinations(range(es.n), 2)
-        if es.rays[i][1] == es.rays[j][1] and es.rays[i][2] != es.rays[j][2]
+        if rays[i][1] == rays[j][1] and rays[i][2] != rays[j][2]
     ]
     assert pairs and all(es.product(i, j) == 1 for i, j in pairs)
 
@@ -225,8 +230,9 @@ def test_consistent_adjacent_rejects_shuffled_tables():
         es2.consistent_adjacent()
 
 
-def doubling_oracle(es):
-    """Brute-force cover count over every agreement ball, from the table."""
+def doubling_oracle(es, rays):
+    """Brute-force cover count over every agreement ball, from the table
+    and the rays as vertex paths."""
     table = es.table()
     worst = 1
     for f in range(es.n):
@@ -236,24 +242,53 @@ def doubling_oracle(es):
                 continue
             common = min(table[a][b] for a in ball for b in ball if a != b)
             step = min(common + 2, es.depth)
-            worst = max(worst, len({es.rays[g][step] for g in ball}))
+            worst = max(worst, len({rays[g][step] for g in ball}))
     return worst
 
 
 def test_doubling_binary_matches_oracle():
-    es = enumerate_ends(gen_kary(2, 6))
+    t = gen_kary(2, 6)
+    es = enumerate_ends(t)
     passed, observed = doubling_check(es)
     assert passed
     assert observed <= es.mu**2 == 9
-    assert observed == doubling_oracle(es) == 4
+    assert observed == doubling_oracle(es, tree_facts(t).rays) == 4
+    with pytest.raises(InputError, match="needs rays"):
+        doubling_check(EndSpace.from_table(es.table(), es.depth, es.mu))
 
 
 def test_doubling_ternary_and_single_ray():
-    es = enumerate_ends(gen_kary(3, 4))
+    t = gen_kary(3, 4)
+    es = enumerate_ends(t)
     passed, observed = doubling_check(es)
-    assert passed and observed == doubling_oracle(es) == 9 <= es.mu**2
+    assert passed and observed == doubling_oracle(es, tree_facts(t).rays) == 9 <= es.mu**2
     passed1, observed1 = doubling_check(enumerate_ends(gen_path(4)))
     assert passed1 and observed1 == 1
+
+
+def test_preorder_consumers_on_one_vertex_and_paths():
+    one = RootedTree.from_parents([None])
+    assert is_complete(one)
+    assert leaf_intervals(one) == ([0], [1])
+    es = enumerate_ends(one)
+    assert (es.n, es.adjacent, es.table()) == (1, (), [[0]])
+    with pytest.raises(InputError, match="depth >= 3"):
+        doubling_check(es)
+    for depth in (1, 2, 3, 7):
+        path = gen_path(depth)
+        assert is_complete(path)
+        assert leaf_intervals(path) == ([0] * (depth + 1), [1] * (depth + 1))
+        es = enumerate_ends(path)
+        assert (es.n, es.adjacent) == (1, ())
+        if depth >= 3:
+            assert doubling_check(es) == (True, 1)
+    # a path with a dead end, once last in preorder and once followed by
+    # a vertex that is no deeper
+    for parents in ([None, 0, 1, 0], [None, 0, 0, 2]):
+        t = RootedTree.from_parents(parents)
+        assert not is_complete(t)
+        with pytest.raises(InputError, match="complete_core"):
+            leaf_intervals(t)
 
 
 def test_perfectness():

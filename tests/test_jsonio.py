@@ -12,6 +12,8 @@ from bilip.errors import InputError
 from bilip.filling import build_filling, make_space
 from bilip.trees import gen_kary, gen_path
 
+from tree_fixtures import tree_facts
+
 
 def test_rational_round_trip():
     assert jsonio.rational(Fraction(6, 4)) == {"num": 3, "den": 2}
@@ -67,20 +69,19 @@ def test_graph_from_dict_validation():
             jsonio.graph_from_dict(bad)
 
 
-def test_tree_round_trip_with_parent_meta():
+def test_tree_round_trip():
     t = gen_kary(2, 3)
-    d = jsonio.tree_to_dict(t)
-    assert d["meta"]["parent"][0] is None
-    assert d["meta"]["parent"][1] == 0
+    d = jsonio.graph_to_dict(t.graph)
+    assert d["meta"] == {}  # parents follow from the root and the edges
     g, _ = jsonio.graph_from_dict(d)
     t2 = jsonio.tree_from_graph(g)
-    assert t2.parent == t.parent
-    assert t2.children == t.children
+    assert tree_facts(t2) == tree_facts(t)
+    assert tree_facts(t2).parent[:3] == [None, 0, 0]
     assert t2.graph is g and t2.trunc.graph is g
 
 
 def test_tree_from_graph_derives_missing_levels():
-    d = jsonio.tree_to_dict(gen_kary(2, 3))
+    d = jsonio.graph_to_dict(gen_kary(2, 3).graph)
     for entry in d["vertices"]:
         del entry["level"]
     g, _ = jsonio.graph_from_dict(d)
@@ -103,6 +104,7 @@ def test_tree_from_graph_rejects_bad_levels():
 def test_filling_round_trip():
     f = build_filling(make_space("cantor13", 8), Fraction(1, 3), Fraction(1), 3, seed=4)
     d = jsonio.filling_to_dict(f)
+    assert set(d["meta"]) == {"space", "resolution", "scale", "tau", "seed", "centers"}
     f2 = jsonio.filling_from_dict(d)
     assert list(f2.graph.edges()) == list(f.graph.edges())
     assert f2.centers == f.centers
@@ -226,7 +228,7 @@ def test_canonical_dumps_matches_the_stdlib_writer(value):
 
 
 def test_canonical_dumps_memory_stays_near_the_text_size():
-    tree = jsonio.tree_to_dict(gen_kary(4, 7))
+    tree = jsonio.graph_to_dict(gen_kary(4, 7).graph)
     tracemalloc.start()
     try:
         text = jsonio.dumps_canonical(tree)

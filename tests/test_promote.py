@@ -19,6 +19,8 @@ from bilip.promote import (
 from bilip.qimaps import tree_vertex_map
 from bilip.trees import gen_kary, gen_random_pseudo_regular, graft_dead_ends
 
+from tree_fixtures import tree_facts
+
 FAMILIES = ["balls", "level-bands", "random-connected"]
 
 
@@ -27,7 +29,8 @@ def boundaries(g, sets):
 
 
 def parent_map(t):
-    return {v: (t.parent[v] if t.parent[v] is not None else v) for v in range(t.n)}
+    parent = tree_facts(t).parent
+    return {v: (parent[v] if parent[v] is not None else v) for v in range(t.n)}
 
 
 def test_zero_chain_normalization():

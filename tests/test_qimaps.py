@@ -24,6 +24,8 @@ from bilip.qimaps import (
 )
 from bilip.trees import complete_core, gen_kary, gen_path, graft_dead_ends
 
+from tree_fixtures import tree_facts
+
 
 def test_end_map_identity_shape():
     es = enumerate_ends(gen_kary(2, 4))
@@ -90,8 +92,9 @@ def test_induced_preserves_ancestor_order():
     ta, tb = gen_kary(3, 4), gen_kary(2, 6)
     vm = induced_vertex_map(ta, tb, hierarchical_end_map(enumerate_ends(ta), enumerate_ends(tb)))
     lo, hi = leaf_intervals(tb)
+    parents = tree_facts(ta).parent
     for child in range(1, ta.n):
-        parent = ta.parent[child]
+        parent = parents[child]
         w_child, w_parent = vm[child], vm[parent]
         # the parent's image shadow contains the child's image shadow
         assert lo[w_parent] <= lo[w_child] and hi[w_child] <= hi[w_parent]

@@ -1,11 +1,14 @@
 """Every consumer of the cached preorder against the walk it replaced.
 
 Each reference below is a per-caller traversal as the library once had
-it: a breadth-first parent array, a DFS with done markers, a DFS over
-pending child iterators, a sort by level, ancestor walks and one DFS per
-subtree root; the preorder itself is checked against a sort of root paths. The trees are seeded and varied: complete and incomplete,
-paths, dead ends, stretched grafts, random recursive trees, and copies
-with shuffled ids, where children often carry smaller ids than parents.
+it: a breadth-first parent array, a DFS with done markers, a sort by
+level, ancestor walks, one DFS per subtree root and a count of distinct
+ray vertices; the preorder itself is checked against a sort of root
+paths. Parents, children and rays come from tree_facts, which reads a
+BFS row, never the cached walk. The trees are seeded and varied:
+complete and incomplete, one vertex, paths, dead ends, stretched grafts,
+random recursive trees, and copies with shuffled ids, where children
+often carry smaller ids than parents.
 """
 
 import random
@@ -14,7 +17,7 @@ from collections import deque
 import pytest
 
 from bilip.cheeger import family_sets
-from bilip.ends import enumerate_ends, leaf_intervals
+from bilip.ends import _hierarchy, doubling_check, enumerate_ends, leaf_intervals
 from bilip.errors import InputError
 from bilip.graph import UdbgGraph
 from bilip.qimaps import hierarchical_end_map, induced_vertex_map
@@ -26,7 +29,10 @@ from bilip.trees import (
     gen_path,
     gen_random_pseudo_regular,
     graft_dead_ends,
+    is_complete,
 )
+
+from tree_fixtures import tree_facts
 
 # -- the reference walks -----------------------------------------------------
 
@@ -49,18 +55,20 @@ def bfs_parent_depth(g):
 def preorder(t):
     """Vertices sorted by their root paths as id tuples: an ancestor's path
     is a prefix of its descendants', and siblings compare by id."""
+    parent = tree_facts(t).parent
 
     def root_path(v):
         path = []
         while v is not None:
             path.append(v)
-            v = t.parent[v]
+            v = parent[v]
         return path[::-1]
 
     return sorted(range(t.n), key=root_path)
 
 
 def dfs_leaf_intervals(t):
+    children = tree_facts(t).children
     lo = [0] * t.n
     hi = [0] * t.n
     counter = 0
@@ -71,46 +79,52 @@ def dfs_leaf_intervals(t):
             hi[v] = counter
             continue
         lo[v] = counter
-        if not t.children[v]:
+        if not children[v]:
             counter += 1
         stack.append((v, True))
-        for c in reversed(t.children[v]):
+        for c in reversed(children[v]):
             stack.append((c, False))
     return lo, hi
 
 
-def pending_rays(t):
-    children = t.children
-    rays = [] if children[t.root] else [(t.root,)]
-    path = [t.root]
-    pending = [iter(children[t.root])]
-    while pending:
-        c = next(pending[-1], None)
-        if c is None:
-            pending.pop()
-            path.pop()
-        elif children[c]:
-            path.append(c)
-            pending.append(iter(children[c]))
-        else:
-            rays.append((*path, c))
-    return rays
+def ray_agreements(rays):
+    """The depth of the last common vertex of each pair of consecutive rays."""
+    out = []
+    for a, b in zip(rays, rays[1:]):
+        m = 0
+        while a[m + 1] == b[m + 1]:
+            m += 1
+        out.append(m)
+    return out
+
+
+def ray_vertex_doubling(es, rays):
+    """Cover count of every agreement ball as the number of distinct
+    vertices its rays pass two levels below the ball's depth."""
+    worst = 1
+    for lo, hi, m, _ in _hierarchy(es.adjacent, es.n):
+        if m is not None:
+            step = min(m + 2, es.depth)
+            worst = max(worst, len({rays[r][step] for r in range(lo, hi)}))
+    return worst
 
 
 def sorted_core(t):
+    children = tree_facts(t).children
     reach = [0] * t.n
     for v in sorted(range(t.n), key=t.level, reverse=True):
-        reach[v] = max([t.level(v)] + [reach[c] for c in t.children[v]])
+        reach[v] = max([t.level(v)] + [reach[c] for c in children[v]])
     return [v for v in range(t.n) if reach[v] == t.depth]
 
 
 def ancestor_retraction(t, keep):
+    parent = tree_facts(t).parent
     new_id = {orig: i for i, orig in enumerate(keep)}
     out = []
     for v in range(t.n):
         a = v
         while a not in new_id:
-            a = t.parent[a]
+            a = parent[a]
         out.append(new_id[a])
     return out
 
@@ -140,12 +154,13 @@ def dfs_descendant_sets(trunc, w):
 def root_descent_map(ta, tb, em):
     lo_a, hi_a = dfs_leaf_intervals(ta)
     lo_b, hi_b = dfs_leaf_intervals(tb)
+    children = tree_facts(tb).children
     out = {}
     for v in range(ta.n):
         blo, bhi = em.image_interval((lo_a[v], hi_a[v]))
         w = tb.root
         while True:
-            inside = [c for c in tb.children[w] if lo_b[c] <= blo and bhi <= hi_b[c]]
+            inside = [c for c in children[w] if lo_b[c] <= blo and bhi <= hi_b[c]]
             if not inside:
                 break
             (w,) = inside
@@ -161,7 +176,7 @@ def shuffled(t, rng):
     perm = list(range(t.n))
     rng.shuffle(perm)
     parents = [None] * t.n
-    for v, p in enumerate(t.parent):
+    for v, p in enumerate(tree_facts(t).parent):
         parents[perm[v]] = None if p is None else perm[p]
     return RootedTree.from_parents(parents)
 
@@ -192,7 +207,8 @@ TREES = sample_trees()
 
 
 def test_tree_arrays_is_the_ascending_preorder():
-    assert any(any(p is not None and p > v for v, p in enumerate(t.parent)) for t in TREES)
+    assert any(any(p is not None and p > v for v, p in enumerate(tree_facts(t).parent))
+               for t in TREES)
     for t in TREES:
         parent, depth, order = t.graph.tree_arrays()
         assert (parent, depth) == bfs_parent_depth(t.graph)
@@ -213,6 +229,7 @@ def test_core_and_retraction_match_the_walks():
     for t in TREES:
         keep = sorted_core(t)
         assert core_vertices(t) == keep
+        assert is_complete(t) == (len(keep) == t.n)
         res = complete_core(t)
         assert list(res.core_to_orig) == keep
         assert list(res.retraction) == ancestor_retraction(t, keep)
@@ -221,8 +238,16 @@ def test_core_and_retraction_match_the_walks():
 def test_end_walks_match_the_dfs():
     for t in TREES:
         core = complete_core(t).core
+        rays = tree_facts(core).rays
         assert leaf_intervals(core) == dfs_leaf_intervals(core)
-        assert list(enumerate_ends(core).rays) == pending_rays(core)
+        es = enumerate_ends(core)
+        assert es.n == len(rays)
+        assert list(es.adjacent) == ray_agreements(rays)
+        if es.depth < 3:
+            with pytest.raises(InputError):
+                doubling_check(es)
+        else:
+            assert doubling_check(es)[1] == ray_vertex_doubling(es, rays)
 
 
 def test_descendant_subtrees_match_one_dfs_per_root():

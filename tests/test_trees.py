@@ -14,18 +14,19 @@ from bilip.trees import (
     is_complete,
 )
 
-from tree_fixtures import add_dead_end
+from tree_fixtures import add_dead_end, tree_facts
 
 
 def rays_through_depth(t):
     """Oracle: vertices on root-to-depth paths, via leaf walks up parents."""
+    parent = tree_facts(t).parent
     on_ray = set()
     for v in range(t.n):
         if t.level(v) == t.depth:
             a = v
             while a is not None:
                 on_ray.add(a)
-                a = t.parent[a]
+                a = parent[a]
     return on_ray
 
 
