@@ -84,7 +84,8 @@ def _build_map(strategy, path_x, path_y):
         f_y = jsonio.filling_from_graph(g_y, meta_y)
         mapping = nearest_center_map(f_x, f_y)
     else:
-        mapping = jsonio.vertex_map_from_dict(jsonio.load_json(strategy))
+        mapping = jsonio.vertex_map_from_dict(
+            jsonio.load_json(strategy, object_pairs_hook=jsonio.distinct_keys))
         for x, y in mapping.items():
             g_x.check_vertex(x)
             g_y.check_vertex(y)

@@ -264,22 +264,21 @@ class UdbgGraph:
 
         return walk
 
-    def _farthest(self, source: int, targets: set[int]) -> int:
-        """max d(source, t) over a nonempty set of validated targets, growing
+    def _distances(self, source: int, targets: set[int]) -> dict[int, int]:
+        """d(source, t) for a nonempty set of validated targets t, growing
         BFS layers from the source only until every target is reached."""
-        left = len(targets)
+        found: dict[int, int] = {}
         for d, layer in enumerate(self.bfs_layers((source,))):
-            left -= len(targets.intersection(layer))
-            if not left:
-                break
-        return d
+            found.update(dict.fromkeys(targets.intersection(layer), d))
+            if len(found) == len(targets):
+                return found
 
     def distance(self, u: int, v: int) -> int:
         """Graph-metric distance (edge count of a shortest path)."""
         self.check_vertex(u)
         self.check_vertex(v)
         walk = self.tree_walk()
-        return walk(u, v) if walk is not None else self._farthest(u, {v})
+        return walk(u, v) if walk is not None else self._distances(u, {v})[v]
 
     def max_distance(self, pairs: Iterable[tuple[int, int]]) -> int:
         """max d(a, b) over the pairs, 0 when there are none.
@@ -300,7 +299,8 @@ class UdbgGraph:
                 d = walk(a, b)
                 if d > best:
                     best = d
-        return max((self._farthest(a, bs) for a, bs in partners.items()), default=best)
+        return max((max(self._distances(a, bs).values()) for a, bs in partners.items()),
+                   default=best)
 
     def ball(self, v: int, r: int) -> set[int]:
         """Closed metric ball {u : d(u, v) <= r}."""

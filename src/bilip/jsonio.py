@@ -130,9 +130,10 @@ def save_json(path, obj) -> None:
     Path(path).write_text(dumps_canonical(obj), encoding="utf-8")
 
 
-def load_json(path):
+def load_json(path, object_pairs_hook=None):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"),
+                          object_pairs_hook=object_pairs_hook)
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
     except (ValueError, RecursionError) as exc:
@@ -275,6 +276,17 @@ def filling_from_graph(g: UdbgGraph, meta: dict) -> Filling:
 
 def vertex_map_to_dict(mapping: dict, meta: Optional[dict] = None) -> dict:
     return {"map": {str(x): y for x, y in sorted(mapping.items())}, "meta": meta or {}}
+
+
+def distinct_keys(pairs: list[tuple[str, object]]) -> dict:
+    """An object_pairs_hook that rejects a key written twice in one object,
+    which json.loads would otherwise resolve to its last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InputError(f"key {key!r} appears twice in one object")
+        out[key] = value
+    return out
 
 
 def vertex_map_from_dict(d: dict) -> dict[int, int]:

@@ -7,7 +7,10 @@ X-interior vertex is matched to a target within r of its image. On
 finite truncations a cardinality mismatch is unavoidable, so unmatched
 target vertices are pushed toward the target's truncation sphere and the
 achieved confinement width is reported alongside the matching. The
-matching's bilipschitz constant is exact on every pair of graphs.
+matching's bilipschitz constant is exact on every pair of graphs: a
+geodesic splits at matched vertices into pieces whose lengths add up, so
+by the triangle inequality the worst distortion is attained on a pair
+that no other matched vertex separates, and only those are measured.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import Iterable, Optional, Sequence
 from .errors import InputError, NoBoundedMatching
 from .cheeger import _boundary_sizes, _family_certificate, family_sets
 from .graph import Truncation, UdbgGraph
-from .qimaps import _exact_values, _max_distortion, _tree_distortion
 from .trees import CheckResult
 
 # -- chains ----------------------------------------------------------------
@@ -332,19 +334,47 @@ def bilipschitz_constant(
     g_y: UdbgGraph,
 ) -> Fraction:
     """Worst two-sided distance distortion of an injective vertex map,
-    exact at any size.
-
-    Between two rooted trees it is found by the pruned sphere growth of
-    qimaps._tree_distortion; between any other graphs, by the bit-parallel
-    all-pairs kernel of qimaps._exact_values, in O(BLOCK * n) memory.
+    exact on any graphs: max(d_Y/d_X, d_X/d_Y, 1) over the adjacent pairs,
+    those joined by a geodesic with no other domain vertex inside (on Y
+    with f^-1 for d_X/d_Y), which attain it (see the module docstring).
+    A BFS from each u that stops at the other domain vertices meets each
+    adjacent v at its distance and any other v no nearer, which can only
+    understate a ratio. Each met pair v > u is measured once, by tree_walk
+    or by one bounded search from f u.
     """
     if len(mapping) < 2:
         raise InputError("need at least two mapped vertices")
-    if len(set(mapping.values())) != len(mapping):
+    inverse = {}
+    for u, w in mapping.items():
+        g_x.check_vertex(u)
+        g_y.check_vertex(w)
+        inverse[w] = u
+    if len(inverse) != len(mapping):
         raise InputError("map is not injective")
-    if g_x.tree_walk() is not None and g_y.tree_walk() is not None:
-        return _tree_distortion(mapping, g_x, g_y)
-    return _max_distortion(_exact_values(mapping, g_x, g_y))
+    p, q = 1, 1  # L = p/q, compared by cross-multiplying
+    for g, f, h in ((g_x, mapping, g_y), (g_y, inverse, g_x)):
+        walk = h.tree_walk()
+        for u, fu in f.items():
+            near = {}  # f v -> t for each domain vertex v > u met at depth t
+            seen, frontier, t = {u}, [u], 0
+            while frontier:
+                t += 1
+                grown = []
+                for a in frontier:
+                    for v in g.neighbors(a):
+                        if v not in seen:
+                            seen.add(v)
+                            if v not in f:
+                                grown.append(v)
+                            elif v > u:
+                                near[f[v]] = t
+                frontier = grown
+            far = h._distances(fu, set(near)) if walk is None and near else None
+            for y, t in near.items():
+                d = far[y] if far is not None else walk(fu, y)
+                if d * q > p * t:
+                    p, q = d, t
+    return Fraction(p, q)
 
 
 def verify_promotion_consistency(

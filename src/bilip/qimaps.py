@@ -5,7 +5,10 @@ recursively: at each ball the child sub-balls of both sides are split
 into contiguous groups, as evenly as possible, in planar order. The
 recursion bottoms out at single rays. A vertex map falls out by sending
 each vertex to the deepest target vertex whose shadow (the rays through
-it) contains the image of the source shadow.
+it) contains the image of the source shadow. qi_constants measures such
+a map on every pair, in bit-parallel blocks of BLOCK sources, or on a
+sample; promote's exact bilipschitz constant needs only the pairs that no
+other domain vertex separates, and uses those blocks as its test oracle.
 """
 
 from __future__ import annotations
@@ -169,7 +172,7 @@ class QiConstants:
         }
 
 
-BLOCK = 128  # sources per bit-parallel block of the exact distortion
+BLOCK = 128  # sources per bit-parallel block of _exact_values
 
 
 def _domain(mapping: dict, g_x: UdbgGraph, g_y: UdbgGraph) -> tuple[list[int], list[int]]:
@@ -186,10 +189,10 @@ def _exact_values(mapping: dict, g_x: UdbgGraph, g_y: UdbgGraph) -> set[tuple[in
     domain, at most (diam X + 1) * (diam Y + 1) of them.
 
     Bit-parallel BFS over blocks of BLOCK sources (see _block_values), on
-    trees and other graphs alike, in O(BLOCK * n) memory. promote's
-    bilipschitz_constant measures two rooted trees with _tree_distortion
-    instead; qi_constants needs the value set, which that kernel does not
-    keep, so it comes here.
+    trees and other graphs alike, in O(BLOCK * n) memory. Only qi's exact
+    mode, which needs the value set, and the tests, as the oracle of
+    promote's bilipschitz_constant, come here; that constant needs only
+    the adjacent pairs of the map.
     """
     domain, images = _domain(mapping, g_x, g_y)
     seen: set[tuple[int, int]] = set()
@@ -288,53 +291,6 @@ def _distance_planes(g_x: UdbgGraph, domain: list[int], s: int, width: int) -> l
                     row[jj] |= sphere
         prev = reach
     return planes
-
-
-def _tree_distortion(mapping: dict, g_x: UdbgGraph, g_y: UdbgGraph) -> Fraction:
-    """Exact max(d_Y/d_X, d_X/d_Y, 1) over all pairs of an injective map
-    between two rooted trees, by pruned sphere growth.
-
-    The bound L = p/q starts at the largest image distance across one
-    edge, on both sides, which measures every pair at distance 1. The
-    forward half grows the X-spheres of each domain vertex u from radius
-    2, with no visited set (a frontier entry is a vertex and the one it
-    came from), and walks d_Y(f u, f v) for each domain v > u it meets.
-    Since d_Y(f u, f v) <= depth f u + the deepest image depth, no pair
-    at X distance t can raise L once that sum is at most L * t, and the
-    growth from u stops there. The inverse half does the same from the
-    images on Y, walking distances in X.
-    """
-    inverse = {}
-    for u, w in mapping.items():
-        g_x.check_vertex(u)
-        g_y.check_vertex(w)
-        inverse[w] = u
-    halves = [(list(map(g.neighbors, g.vertices())), f, h)
-              for g, f, h in ((g_x, mapping, g_y), (g_y, inverse, g_x))]
-    p, q = 1, 1
-    for adj, f, h in halves:  # seed: every pair adjacent on either side
-        walk = h.tree_walk()
-        for u, fu in f.items():
-            for v in adj[u]:
-                if v > u and v in f:
-                    p = max(p, walk(fu, f[v]))
-    for adj, f, h in halves:
-        walk, depth = h.tree_walk(), h.tree_arrays()[1]
-        deepest = max(depth[w] for w in f.values())
-        for u in sorted(f):
-            fu = f[u]
-            reach = depth[fu] + deepest
-            frontier = [(v, u) for v in adj[u]]
-            t = 1
-            while frontier and reach * q > p * (t + 1):
-                t += 1
-                frontier = [(w, v) for v, back in frontier for w in adj[v] if w != back]
-                for v, _ in frontier:
-                    if v > u and v in f:
-                        d = walk(fu, f[v])
-                        if d * q > p * t:
-                            p, q = d, t
-    return Fraction(p, q)
 
 
 def _sampled_values(

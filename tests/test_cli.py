@@ -377,8 +377,8 @@ def test_construction_budget_error_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
-# (command, SHA-256 of the report it writes to --out), run on k-ary trees
-# generated in the test directory; relative paths keep the embedded config
+# (command, SHA-256 of the report it writes to --out), run on trees, fillings
+# and a map file made in the test directory; relative paths keep the embedded config
 # independent of that directory.
 PINNED_REPORTS = (
     # the generated trees themselves, one per generator kind; x and y are
@@ -406,7 +406,7 @@ PINNED_REPORTS = (
     ("ends --graph k3d4.json --out ends.json",
      "6c611b8285238cdfb5650234b648d5d952d8ddc46fdcba7d636323adf8e3cdb1"),
     # 3,280 source vertices, 2,820 matched: between two trees L = 6 is
-    # exact at any size, by pruned sphere growth
+    # exact at any size, from the pairs no other matched vertex separates
     ("promote --from k3d7.json --to k4d6.json --map ends --collar 2 --out p7.json",
      "b62381eebcc4dc56190570ee6f21867012c9b6370e53c2b3e6bc9e28fc8a54fb"),
     # 2,187 rays: ultrametric by identity, perfectness over both chains;
@@ -451,6 +451,17 @@ PINNED_REPORTS = (
     # the end map onto g.json retracts its dead ends onto the core
     ("qi --from pr.json --to g.json --out qg.json",
      "e76f0ea7ee28e3d3bbac4600ed0e98cec2f1f0616ef750bec3b04caa6b62ffed"),
+    # a 63-vertex cantor13 bijection: L = 2 measured off trees
+    ("promote --from c6a.json --to c6b.json --map nearest-center --collar 1 --out pc6.json",
+     "dbb277adf15910abe2e80e909f439ca2b54b7192956fb4f5aa87f96d95b99208"),
+    # the stretched control at depth 9: promotes at r = 2 with L = 8
+    ("promote --from s9.json --to k2d9.json --map ends --rmax 6 --collar 1 --seed 7 "
+     "--out pst.json",
+     "09eab405db9b2dc132eea7e79d2c0f5036da5c20f6c52e0ca4a7129478f08d1e"),
+    # a tree into a larger filling by a map file: 6 images missing from a
+    # non-tree side, L = 8
+    ("promote --from k3d4.json --to c7.json --map m.json --collar 1 --out pm.json",
+     "2855357071c228447ece25d7b16e4706e01aa7787ef6c530eba0f624e53f1cbb"),
 )
 
 PINNED_INPUTS = (
@@ -458,6 +469,11 @@ PINNED_INPUTS = (
     "fill --space cantor13 --levels 5 --scale 1/3 --tau 15/4 --seed 2 --out fb.json",
     "fill --space interval --levels 6 --scale 1/2 --tau 3/2 --seed 0 --out i0.json",
     "fill --space interval --levels 6 --scale 1/2 --tau 3/2 --seed 2 --out i2.json",
+    "fill --space cantor13 --levels 6 --scale 1/3 --tau 15/4 --seed 3 --out c6a.json",
+    "fill --space cantor13 --levels 6 --scale 1/3 --tau 15/4 --seed 4 --out c6b.json",
+    "fill --space cantor13 --levels 7 --scale 1/3 --tau 15/4 --seed 3 --out c7.json",
+    "gen-tree --kind stretched --depth 9 --seed 7 --out s9.json",
+    "gen-tree --kind kary --k 2 --depth 9 --out k2d9.json",
 )
 
 
@@ -469,6 +485,7 @@ def test_promote_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
                    "--out", name) == 0
     for command in PINNED_INPUTS:
         assert run(*command.split()) == 0
+    (tmp_path / "m.json").write_text(json.dumps({"map": {str(v): v for v in range(121)}}))
     for command, digest in PINNED_REPORTS:
         argv = command.split()
         assert run(*argv) == 0
@@ -529,14 +546,17 @@ def test_map_file_must_hold_an_object(tmp_path, capsys):
 
 def test_map_keys_must_name_each_vertex_once(tmp_path, capsys):
     a = gen_tree(tmp_path, "a.json", "--kind", "kary", "--k", "2", "--depth", "3")
-    identity = {str(v): v for v in range(15)}
-    spaced = {(" 3" if k == "3" else k): v for k, v in identity.items()}
+    identity = [(str(v), v) for v in range(15)]
+    spaced = [(" 3" if k == "3" else k, v) for k, v in identity]
     # int() reads "01" and " 3" as 1 and 3: the first would silently
-    # remap vertex 1 to 9, the second would pass as vertex 3
-    for name, entries, key in (("dup.json", {**identity, "01": 9}, "'01'"),
-                               ("space.json", spaced, "' 3'")):
+    # remap vertex 1 to 9, the second would pass as vertex 3; json.loads
+    # keeps the last of two literal "1" keys, which would remap it too
+    for name, entries, key in (("dup.json", identity + [("01", 9)], "'01'"),
+                               ("space.json", spaced, "' 3'"),
+                               ("twice.json", identity + [("1", 9)], "'1' appears twice")):
         bad = tmp_path / name
-        bad.write_text(json.dumps({"map": entries}))
+        members = ", ".join(f"{json.dumps(k)}: {v}" for k, v in entries)
+        bad.write_text(f'{{"map": {{{members}}}}}')
         assert run("promote", "--from", str(a), "--to", str(a), "--map", str(bad)) == 2, name
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err and "Traceback" not in err, name

@@ -205,7 +205,7 @@ def test_bilipschitz_constant():
     swap[0], swap[15] = 15, 0
     exact = bilipschitz_constant(swap, g, g)
     assert exact > 1
-    # the unrooted copy of the same tree takes the all-pairs kernel
+    # the unrooted copy of the same tree searches image distances instead
     unrooted = UdbgGraph([g.neighbors(v) for v in g.vertices()])
     assert bilipschitz_constant(swap, unrooted, unrooted) == exact
 
@@ -228,21 +228,22 @@ def exact_bilipschitz_peak(resolution, levels):
 
 def test_exact_bilipschitz_holds_no_row_cache():
     """Exact distortion on the benchmark's 511-vertex Cantor fillings holds
-    the bit-sliced X distances of one block of sources and two rounds of
-    one bit-parallel BFS, about 200 KB at peak; a cache of every source's
-    BFS row holds 1,020 rows of 511 ints, over 4 MB."""
+    the inverse map and the sets of one search at a time, about 28 KB at
+    peak; a cache of every source's BFS row holds 1,020 rows of 511 ints,
+    over 4 MB, and one all-pairs block of 128 sources about 180 KB."""
     constant, peak = exact_bilipschitz_peak(10, 8)
     assert constant == 2
-    assert peak < 256 * 1024, peak
+    assert peak < 64 * 1024, peak
 
 
 def test_exact_bilipschitz_memory_grows_linearly():
     """Doubling the fillings to 1,023 vertices about doubles the peak, to
-    about 400 KB, as the O(BLOCK * n) bound says; one block as wide as the
-    domain holds O(n^2) bits, over 1 MB here."""
+    about 55 KB: the inverse map grows with the domain, and each search
+    only with the pairs it meets. The all-pairs blocks hold O(BLOCK * n)
+    bits, about 350 KB here."""
     constant, peak = exact_bilipschitz_peak(11, 9)
     assert constant == 2
-    assert peak < 512 * 1024, peak
+    assert peak < 128 * 1024, peak
 
 
 def test_promote_generic_random_tree_pair():

@@ -16,7 +16,6 @@ from bilip.qimaps import (
     _exact_values,
     _max_distortion,
     _sampled_values,
-    _tree_distortion,
     hierarchical_end_map,
     induced_vertex_map,
     qi_constants,
@@ -283,7 +282,8 @@ def attaining_shape(constant, values):
     """The (half, far) kinds of the (d_X, d_Y) values whose ratio is the
     constant: half is "forward" for d_Y/d_X and "inverse" for d_X/d_Y,
     and far is True when the pair lies at distance >= 2 on the side the
-    half grows spheres on, so that no edge seeds it."""
+    half searches. A maximum whose every pair is far is attained by no
+    edge, so only a pair whose geodesic passes outside the domain has it."""
     return frozenset(
         ("forward" if b > a else "inverse", min(a, b) >= 2)
         for a, b in values
@@ -291,15 +291,28 @@ def attaining_shape(constant, values):
     )
 
 
-def test_tree_distortion_matches_the_exact_kernel():
-    """Pruned sphere growth against the bit-parallel all-pairs kernel on
-    at least 500 seeded injective maps of two or more vertices: random
-    rooted trees of 2-40 vertices, and 3-ary depth 5 to 4-ary depth 4,
-    domains missing the root included.
-    The cases must hold maxima that only a sphere of radius >= 2 reaches
-    and maxima that only one edge reaches, in either half, so that a
-    growth stopped one radius early, a skipped inverse half or a seed
-    taken from one side shows."""
+def assert_exact_on(cases):
+    """bilipschitz_constant equals the all-pairs maximum on every case, and
+    the cases hold, in both halves, maxima that only far pairs attain and
+    maxima that only edges attain, so that a search stopped one layer early,
+    a skipped inverse half or an edges-only measurement shows."""
+    shapes = Counter()
+    for mapping, g_x, g_y in cases:
+        values = _exact_values(mapping, g_x, g_y)
+        expected = _max_distortion(values)
+        assert bilipschitz_constant(mapping, g_x, g_y) == expected, mapping
+        if expected > 1:
+            shapes[attaining_shape(expected, values)] += 1
+    for half in ("forward", "inverse"):
+        for far in (False, True):
+            assert shapes[frozenset({(half, far)})] >= 5, (half, far, shapes)
+
+
+def test_bilipschitz_constant_matches_the_exact_kernel_on_trees():
+    """At least 500 seeded injective maps of two or more vertices between
+    rooted trees, against the bit-parallel all-pairs kernel: random trees
+    of 2-40 vertices, and 3-ary depth 5 to 4-ary depth 4, domains missing
+    the root included."""
     rng = random.Random(11)
     cases = []
     for _ in range(500):
@@ -311,18 +324,48 @@ def test_tree_distortion_matches_the_exact_kernel():
     for trial in range(24):
         size = rng.choice([2, 10, 60, 200, 340])
         cases.append((random_injection(rng, k3, k4, size, trial % 2 == 1), k3, k4))
-    shapes = Counter()
     cases = [case for case in cases if len(case[0]) >= 2]
     assert len(cases) >= 500
-    for mapping, g_x, g_y in cases:
-        values = _exact_values(mapping, g_x, g_y)
-        expected = _max_distortion(values)
-        assert _tree_distortion(mapping, g_x, g_y) == expected, mapping
-        if expected > 1:
-            shapes[attaining_shape(expected, values)] += 1
-    for half in ("forward", "inverse"):
-        for far in (False, True):
-            assert shapes[frozenset({(half, far)})] >= 5, (half, far, shapes)
+    assert_exact_on(cases)
+
+
+def test_bilipschitz_constant_matches_the_exact_kernel_off_trees():
+    """The same comparison where a side is not a rooted tree: chorded
+    graphs, unrooted tree copies, cantor13 and interval fillings, and one
+    rooted tree against one of those, both ways. Domains with gaps make
+    the search pass outside the domain; nearest-center maps between
+    fillings are bijections, whose adjacent pairs are the edges."""
+    rng = random.Random(12)
+    fills = [
+        build_filling(make_space(kind, resolution), scale, tau, levels, seed=s)
+        for kind, resolution, scale, tau, levels in (
+            ("cantor13", 6, Fraction(1, 3), Fraction(15, 4), 5),
+            ("interval", 256, Fraction(1, 2), Fraction(3, 2), 6),
+        )
+        for s in (1, 2)
+    ]
+    fillings = [f.graph for f in fills]
+    k2 = gen_kary(2, 4).graph
+    others = fillings + [
+        UdbgGraph([k2.neighbors(v) for v in k2.vertices()]),  # unrooted copy
+        random_chorded_graph(40, 0, seed=3),  # unrooted random tree
+        random_chorded_graph(30, 6, seed=5),
+        random_chorded_graph(60, 25, seed=6, root=0),  # rooted, not a tree
+    ]
+    rooted = [k2, gen_kary(3, 3).graph, random_chorded_graph(35, 0, seed=8, root=4)]
+    pairs = [(a, b) for a in others for b in others]
+    pairs += [(a, b) for t in rooted for o in others for a, b in ((t, o), (o, t))]
+    cases = []
+    for trial in range(400):
+        g_x, g_y = rng.choice(pairs)
+        size = rng.randint(2, min(g_x.n, g_y.n))
+        cases.append((random_injection(rng, g_x, g_y, size, False), g_x, g_y))
+    for f_x in fillings:  # as many vertices as the smaller filling has
+        for f_y in fillings:
+            cases.append((random_injection(rng, f_x, f_y, f_x.n, False), f_x, f_y))
+    cases.append((nearest_center_map(fills[0], fills[1]), fillings[0], fillings[1]))
+    assert all(g_x.tree_walk() is None or g_y.tree_walk() is None for _, g_x, g_y in cases)
+    assert_exact_on(cases)
 
 
 def test_promote_measures_trees_exactly_above_the_pair_limit(monkeypatch):
@@ -353,7 +396,7 @@ def test_sampled_distortion_needs_a_sample():
 
 def test_distortion_rejects_unknown_ids():
     t = gen_kary(2, 4)
-    # the rooted tree takes the pruned kernel, its unrooted copy the exact one
+    # the rooted tree walks image distances, its unrooted copy searches them
     unrooted = UdbgGraph([t.graph.neighbors(v) for v in t.graph.vertices()])
     for bad in ({**{v: v for v in range(t.n)}, 3: t.n}, {**{v: v for v in range(1, t.n)}, -1: 0}):
         for g in (t.graph, unrooted):
