@@ -11,17 +11,14 @@ agreement depths, completeness, cores, retractions, the end-space
 vertex map) is a pass over that order. Distances keep no other cache: a
 rooted tree walks its parent array, any other graph grows BFS layers
 only until the targets are reached, and bfs_row computes a fresh full
-row on every call. All-pairs work goes through
-bit_bfs, which runs one BFS per bit of a big-integer mask, so a block of
-W sources costs one integer OR per edge per round and O(W * n) bits.
+row on every call, so all-pairs work reads one row per source in O(n)
+memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import islice
-from operator import or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
@@ -191,24 +188,6 @@ class UdbgGraph:
         """Distances from source to every vertex, computed afresh."""
         self.check_vertex(source)
         return self._bfs((source,))
-
-    def bit_bfs(self, seeds: Sequence[int]) -> Iterator[list[int]]:
-        """Breadth-first search from many sources at once, one per mask bit.
-
-        seeds[v] is the mask of the sources placed on v. Yields R_0 =
-        seeds, then R_d with R_d[w] = R_{d-1}[w] | (OR of R_{d-1}[x] over
-        the neighbours x of w), so bit k of R_d[w] is set exactly when
-        source k lies within d of w; stops after the last R_d that differs
-        from R_{d-1}. A round is one integer OR per edge end.
-        """
-        adj = self._adj
-        reach = list(seeds)
-        while True:
-            yield reach
-            grown = [reduce(or_, map(reach.__getitem__, nbrs), r) for r, nbrs in zip(reach, adj)]
-            if grown == reach:
-                return
-            reach = grown
 
     def tree_arrays(self) -> tuple[list[int], list[int], list[int]]:
         """(parent, depth, order) of a rooted tree, computed once; InputError

@@ -275,7 +275,7 @@ def promote_matching(
     to all of Y, since no larger radius changes the candidates.
 
     The matching's bilipschitz constant is exact at any size (see
-    bilipschitz_constant).
+    bilipschitz_constant), and 1 for a matching of one pair.
     """
     g_x, g_y = t_x.graph, t_y.graph
     if len(mapping) != g_x.n:
@@ -313,7 +313,8 @@ def promote_matching(
         confinement = max((from_sphere[y] for y in unmatched), default=0)
         distance = g_y.max_distance((mapping[x], y) for x, y in match_x.items())
         assert distance <= r, "matched outside the candidate radius"
-        bilip = bilipschitz_constant(match_x, g_x, g_y)
+        # bilipschitz_constant needs two pairs; one pair has nothing to distort
+        bilip = bilipschitz_constant(match_x, g_x, g_y) if len(match_x) > 1 else Fraction(1)
         return MatchingResult(
             pairs=dict(sorted(match_x.items())),
             r=r,

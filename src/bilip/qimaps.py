@@ -6,9 +6,10 @@ into contiguous groups, as evenly as possible, in planar order. The
 recursion bottoms out at single rays. A vertex map falls out by sending
 each vertex to the deepest target vertex whose shadow (the rays through
 it) contains the image of the source shadow. qi_constants measures such
-a map on every pair, in bit-parallel blocks of BLOCK sources, or on a
-sample; promote's exact bilipschitz constant needs only the pairs that no
-other domain vertex separates, and uses those blocks as its test oracle.
+a map on every pair, from one BFS row per domain vertex on each side, or
+on a sample; promote's exact bilipschitz constant needs only the pairs
+that no other domain vertex separates, and uses those rows as its test
+oracle.
 """
 
 from __future__ import annotations
@@ -172,9 +173,6 @@ class QiConstants:
         }
 
 
-BLOCK = 128  # sources per bit-parallel block of _exact_values
-
-
 def _domain(mapping: dict, g_x: UdbgGraph, g_y: UdbgGraph) -> tuple[list[int], list[int]]:
     """The sorted domain of a map and its images, every id checked once."""
     for u, w in mapping.items():
@@ -188,16 +186,18 @@ def _exact_values(mapping: dict, g_x: UdbgGraph, g_y: UdbgGraph) -> set[tuple[in
     """Distinct (d_X(u, v), d_Y(f u, f v)) over every pair u < v of the
     domain, at most (diam X + 1) * (diam Y + 1) of them.
 
-    Bit-parallel BFS over blocks of BLOCK sources (see _block_values), on
-    trees and other graphs alike, in O(BLOCK * n) memory. Only qi's exact
-    mode, which needs the value set, and the tests, as the oracle of
-    promote's bilipschitz_constant, come here; that constant needs only
-    the adjacent pairs of the map.
+    One bfs_row of u in X and one of f u in Y per domain vertex u, each
+    read at the later vertices of the domain, on trees and other graphs
+    alike, in O(n) memory. Only qi's exact mode, which needs the value
+    set, and the tests, as the oracle of promote's bilipschitz_constant,
+    come here; that constant needs only the adjacent pairs of the map.
     """
     domain, images = _domain(mapping, g_x, g_y)
     seen: set[tuple[int, int]] = set()
-    for s in range(0, len(domain) - 1, BLOCK):
-        _block_values(domain, images, g_x, g_y, s, seen)
+    for i in range(len(domain) - 1):
+        row_x, row_y = g_x.bfs_row(domain[i]), g_y.bfs_row(images[i])
+        seen.update(zip(map(row_x.__getitem__, domain[i + 1:]),
+                        map(row_y.__getitem__, images[i + 1:])))
     return seen
 
 
@@ -215,82 +215,6 @@ def _max_distortion(seen: set[tuple[int, int]]) -> Fraction:
             if a * dn_d > dn_n * b:
                 dn_n, dn_d = a, b
     return max(Fraction(up_n, up_d), Fraction(dn_n, dn_d), Fraction(1))
-
-
-def _block_values(
-    domain: list[int], images: list[int], g_x: UdbgGraph, g_y: UdbgGraph, s: int,
-    seen: set[tuple[int, int]],
-) -> None:
-    """Add to seen the distinct (d_X(u_i, u_j), d_Y(y_i, y_j)) over the
-    index pairs i < j whose source i lies in the block of BLOCK starting
-    at s, bit k standing for source s + k; the targets are all j >= s.
-    X side: bit_bfs from the block's vertices; the sphere R_a & ~R_{a-1}
-    at target u_j holds the sources at X distance a, and is folded into
-    bit-sliced planes, bit k of plane t being bit t of d_X(u_{s+k}, u_j).
-    Y side: bit_bfs from the block's images, streamed; the sphere S at y_j
-    in round b holds the sources i < j with d_Y = b, and descending the
-    planes of target j from the top bit splits S into its X distances a,
-    each met as (a, b). At b = 0, S holds the other sources sharing j's
-    image, so a map that is not injective yields its (a, 0) values.
-    One call per block, so that a block's planes are dropped before the
-    next block's are built.
-    """
-    width = min(BLOCK, len(domain) - s)
-    planes = _distance_planes(g_x, domain, s, width)
-    top = range(len(planes) - 1, -1, -1)
-    seeds = [0] * g_y.n
-    for k in range(width):
-        seeds[images[s + k]] |= 1 << k
-    targets = images[s:]
-    prev = [0] * g_y.n
-    for b, reach in enumerate(g_y.bit_bfs(seeds)):
-        for jj, y in enumerate(targets):
-            sphere = reach[y] & ~prev[y]
-            if jj < width:
-                sphere &= (1 << jj) - 1  # sources i < j only
-            if not sphere:
-                continue
-            parts = [(sphere, 0)]
-            for t in top:
-                plane = planes[t][jj]
-                if not plane & sphere:
-                    continue
-                split = []
-                for part, a in parts:
-                    far = part & plane
-                    if far:
-                        split.append((far, a | 1 << t))
-                        if far != part:
-                            split.append((part ^ far, a))
-                    else:
-                        split.append((part, a))
-                parts = split
-            seen.update((a, b) for _, a in parts)
-        prev = reach
-
-
-def _distance_planes(g_x: UdbgGraph, domain: list[int], s: int, width: int) -> list[list[int]]:
-    """planes[t][j - s]: bit k set when bit t of d_X(domain[s + k], domain[j])
-    is set, for every target j >= s and source k < width."""
-    seeds = [0] * g_x.n
-    for k in range(width):
-        seeds[domain[s + k]] = 1 << k
-    targets = domain[s:]
-    planes: list[list[int]] = []
-    prev = seeds
-    for a, reach in enumerate(g_x.bit_bfs(seeds)):
-        if not a:
-            continue
-        if a.bit_length() > len(planes):
-            planes.append([0] * len(targets))
-        rows = [planes[t] for t in range(a.bit_length()) if a >> t & 1]
-        for jj, u in enumerate(targets):
-            sphere = reach[u] & ~prev[u]
-            if sphere:
-                for row in rows:
-                    row[jj] |= sphere
-        prev = reach
-    return planes
 
 
 def _sampled_values(

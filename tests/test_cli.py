@@ -159,6 +159,25 @@ def test_promote_failure_exit_code(tmp_path, capsys):
     assert json.loads(out.read_text())["promoted"] is False
 
 
+def test_promote_to_one_pair_has_constant_one(tmp_path, capsys):
+    """Three vertices sent to the root of a 2-vertex path promote at r = 0
+    with the root matched alone: one pair has no distance to distort."""
+    x = gen_tree(tmp_path, "k2d1.json", "--kind", "kary", "--k", "2", "--depth", "1")
+    y = tmp_path / "path.json"
+    y.write_text(json.dumps({"vertices": [{"id": 0, "level": 0}, {"id": 1, "level": 1}],
+                             "edges": [[0, 1]], "root": 0}))
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"map": {"0": 0, "1": 0, "2": 0}}))
+    out = tmp_path / "p.json"
+    assert run("promote", "--from", str(x), "--to", str(y), "--map", str(m),
+               "--collar", "0", "--out", str(out)) == 0
+    printed = capsys.readouterr().out
+    assert "r=0" in printed and "L=1/1" in printed
+    matching = json.loads(out.read_text())["matching"]
+    assert matching["pairs"] == {"0": 0}
+    assert matching["bilip_constant"] == {"num": 1, "den": 1}
+
+
 def test_promote_stops_once_balls_cover_the_target(tmp_path, capsys, monkeypatch):
     """Sending every vertex to one target vertex fails at every radius; once
     the ball around it is all of Y no larger radius can change that, so a
@@ -448,6 +467,10 @@ PINNED_REPORTS = (
     ("cheeger --graph g.json --collar 1 "
      "--families balls,level-bands,descendant-subtrees,random-connected --out cg.json",
      "e31b6b632afe2bd0fd422724fb883f29499e050c1e643dd6ea80a36cb66e3beb"),
+    # exact qi_constants: 364 and 341 vertices, every pair from one BFS row
+    # per source on each side
+    ("qi --from k3d5.json --to k4d4.json --out qe.json",
+     "95f769b0e4ad7fef50ad380d729a5c7e49ad372f0d3d1026e8a3ba50ec34337f"),
     # the end map onto g.json retracts its dead ends onto the core
     ("qi --from pr.json --to g.json --out qg.json",
      "e76f0ea7ee28e3d3bbac4600ed0e98cec2f1f0616ef750bec3b04caa6b62ffed"),
@@ -474,6 +497,8 @@ PINNED_INPUTS = (
     "fill --space cantor13 --levels 7 --scale 1/3 --tau 15/4 --seed 3 --out c7.json",
     "gen-tree --kind stretched --depth 9 --seed 7 --out s9.json",
     "gen-tree --kind kary --k 2 --depth 9 --out k2d9.json",
+    "gen-tree --kind kary --k 3 --depth 5 --out k3d5.json",
+    "gen-tree --kind kary --k 4 --depth 4 --out k4d4.json",
 )
 
 

@@ -16,7 +16,7 @@ from bilip.promote import (
     verify_promotion_consistency,
     sum_boundary_criterion,
 )
-from bilip.qimaps import tree_vertex_map
+from bilip.qimaps import _exact_values, _max_distortion, tree_vertex_map
 from bilip.trees import gen_kary, gen_random_pseudo_regular, graft_dead_ends
 
 from tree_fixtures import tree_facts
@@ -210,27 +210,28 @@ def test_bilipschitz_constant():
     assert bilipschitz_constant(swap, unrooted, unrooted) == exact
 
 
-def exact_bilipschitz_peak(resolution, levels):
-    """(constant, tracemalloc peak) of exact bilipschitz_constant between
-    the cantor13 fillings of seeds 1 and 2."""
+def exact_bilipschitz_peak(resolution, levels, measure=bilipschitz_constant):
+    """(result, tracemalloc peak) of measure(map, X, Y), by default the
+    exact bilipschitz_constant, on the nearest-center map between the
+    cantor13 fillings of seeds 1 and 2."""
     space = make_space("cantor13", resolution)
     fa, fb = (build_filling(space, Fraction(1, 3), Fraction(15, 4), levels, seed=s)
               for s in (1, 2))
     vm = nearest_center_map(fa, fb)
     tracemalloc.start()
     try:
-        constant = bilipschitz_constant(vm, fa.graph, fb.graph)
+        result = measure(vm, fa.graph, fb.graph)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return constant, peak
+    return result, peak
 
 
 def test_exact_bilipschitz_holds_no_row_cache():
     """Exact distortion on the benchmark's 511-vertex Cantor fillings holds
     the inverse map and the sets of one search at a time, about 28 KB at
     peak; a cache of every source's BFS row holds 1,020 rows of 511 ints,
-    over 4 MB, and one all-pairs block of 128 sources about 180 KB."""
+    over 4 MB."""
     constant, peak = exact_bilipschitz_peak(10, 8)
     assert constant == 2
     assert peak < 64 * 1024, peak
@@ -239,10 +240,14 @@ def test_exact_bilipschitz_holds_no_row_cache():
 def test_exact_bilipschitz_memory_grows_linearly():
     """Doubling the fillings to 1,023 vertices about doubles the peak, to
     about 55 KB: the inverse map grows with the domain, and each search
-    only with the pairs it meets. The all-pairs blocks hold O(BLOCK * n)
-    bits, about 350 KB here."""
+    only with the pairs it meets. The all-pairs value set of qi's exact
+    mode holds two BFS rows at a time, about 57 KB here; the distances of
+    128 sources held side by side take about 350 KB."""
     constant, peak = exact_bilipschitz_peak(11, 9)
     assert constant == 2
+    assert peak < 128 * 1024, peak
+    values, peak = exact_bilipschitz_peak(11, 9, _exact_values)
+    assert _max_distortion(values) == 2
     assert peak < 128 * 1024, peak
 
 

@@ -12,7 +12,6 @@ from bilip.graph import UdbgGraph
 from bilip.promote import bilipschitz_constant, promote_matching
 from bilip import qimaps
 from bilip.qimaps import (
-    BLOCK,
     _exact_values,
     _max_distortion,
     _sampled_values,
@@ -243,33 +242,6 @@ def random_chorded_graph(n, chords, seed, root=None):
     return UdbgGraph(adj, root=root)
 
 
-def all_rows_values(mapping, rows_x, rows_y):
-    """Distinct (d_X, d_Y) over all pairs u < v of the domain, by lookups
-    in the full BFS rows of either graph."""
-    return {(rows_x[u][v], rows_y[mapping[u]][mapping[v]])
-            for u, v in combinations(sorted(mapping), 2)}
-
-
-@pytest.mark.parametrize("width", [1, 2, 3, BLOCK])
-def test_exact_distortion_across_block_edges(width, monkeypatch):
-    """Domains of width - 1, width, width + 1 and 2 * width + 1 sources put
-    pairs on both sides of every block edge; subset domains and maps with
-    many coinciding images included."""
-    monkeypatch.setattr(qimaps, "BLOCK", width)
-    chorded = random_chorded_graph(2 * BLOCK + 40, 60, seed=4)
-    tree = gen_kary(3, 5).graph  # 364 vertices, rooted
-    rows = {g: [g.bfs_row(v) for v in g.vertices()] for g in (chorded, tree)}
-    rng = random.Random(width)
-    for g_x, g_y in ((chorded, tree), (tree, chorded)):
-        for size in (width - 1, width, width + 1, 2 * width + 1):
-            domain = rng.sample(range(g_x.n), size)
-            injective = dict(zip(domain, rng.sample(range(g_y.n), size)))
-            crowded = {u: rng.randrange(40) for u in domain}  # not injective
-            for mapping in (injective, crowded):
-                expected = all_rows_values(mapping, rows[g_x], rows[g_y])
-                assert _exact_values(mapping, g_x, g_y) == expected, size
-
-
 def random_injection(rng, g_x, g_y, size, skip_roots):
     """A random injective map of `size` vertices, off both roots if asked."""
     xs = [v for v in g_x.vertices() if not (skip_roots and v == g_x.root)]
@@ -310,9 +282,9 @@ def assert_exact_on(cases):
 
 def test_bilipschitz_constant_matches_the_exact_kernel_on_trees():
     """At least 500 seeded injective maps of two or more vertices between
-    rooted trees, against the bit-parallel all-pairs kernel: random trees
-    of 2-40 vertices, and 3-ary depth 5 to 4-ary depth 4, domains missing
-    the root included."""
+    rooted trees, against the all-pairs values of _exact_values: random
+    trees of 2-40 vertices, and 3-ary depth 5 to 4-ary depth 4, domains
+    missing the root included."""
     rng = random.Random(11)
     cases = []
     for _ in range(500):
