@@ -4,6 +4,11 @@ Candidate sets always live in the interior of a truncation while their
 boundaries are computed in the full graph: the collar stands in for the
 rest of the infinite object, so sets hugging the truncation sphere cannot
 fake small boundaries. Ratios are exact rationals throughout.
+
+The exact minimum needs only sets that are connected at distance 2: if
+A splits into parts whose closed neighbourhoods are disjoint, its
+boundary and size are the sums of theirs, so one part has a ratio no
+larger and fewer vertices.
 """
 
 from __future__ import annotations
@@ -52,12 +57,20 @@ class CheegerCertificate:
 def cheeger_exact(t: Truncation, w: int, max_size: Optional[int] = None) -> CheegerCertificate:
     """Exact minimum of |boundary(A)| / |A| over interior subsets.
 
-    Enumerates every nonempty subset up to max_size (not only connected
-    ones; the infimum ranges over all finite sets), by size and then in
-    lexicographic order, keeping the first set of the least ratio: ties
-    break toward the smaller set, then the lexicographically smallest
-    vertex tuple. |boundary(A)| = |N[A]| - |A| is kept incrementally
-    from per-vertex counts of closed neighbourhoods covering it.
+    The minimum ranges over every nonempty interior subset of at most
+    max_size vertices, not only the connected ones; ties break toward
+    the smaller set, then the lexicographically smallest vertex tuple.
+    Only sets connected in H are visited: H joins two interior vertices
+    whose closed neighbourhoods meet, i.e. that are at distance <= 2 in
+    the whole truncation, collar included. No winner is lost. Split any
+    A into its H-components A_1 ... A_k: their closed neighbourhoods are
+    pairwise disjoint, so |boundary(A)| and |A| are the sums of theirs,
+    and the ratio of A is a mediant of their ratios. Some A_i then has a
+    ratio no larger with fewer vertices, so a set with k > 1 never wins.
+    ESU (Wernicke 2006) visits each H-connected set once, grown from its
+    least vertex. |boundary(A)| = |N[A]| - |A| is kept incrementally from
+    per-vertex counts of closed neighbourhoods covering it. The budget
+    still counts every subset up to max_size.
     """
     interior = sorted(t.interior(w))
     n = len(interior)
@@ -79,41 +92,77 @@ def cheeger_exact(t: Truncation, w: int, max_size: Optional[int] = None) -> Chee
         )
     g = t.graph
     closed = [(v,) + g.neighbors(v) for v in interior]
+    index = {v: i for i, v in enumerate(interior)}
+    # near[i]: bit j is set when N[interior[i]] and N[interior[j]] meet,
+    # i.e. when the two are at distance <= 2 in the whole truncation
+    near = []
+    for ball in closed:
+        mask = 0
+        for u in ball:
+            for x in (u,) + g.neighbors(u):
+                if x in index:
+                    mask |= 1 << index[x]
+        near.append(mask)
     cover = [0] * g.n  # members of the chosen set whose N[a] holds v
     chosen: list[int] = []
     covered = 0  # |N[chosen]|
-    best = None  # (|boundary|, |A|, indices of A), compared as b * |A'| < b' * |A|
+    # (|boundary|, |A|, sorted indices of A), starting from {interior[0]}
+    best = (len(closed[0]) - 1, 1, (0,))
 
-    def extend(start: int, left: int) -> None:
-        # every completion of `chosen` by `left` more indices >= start;
+    def offer(b: int, members: list[int]) -> None:
+        # members has a ratio b / |members| no larger than the best one
+        nonlocal best
+        size = len(members)
+        b0, size0, key0 = best
+        if b * size0 < b0 * size or size < size0:
+            best = (b, size, tuple(sorted(members)))
+        elif size == size0:
+            key = tuple(sorted(members))
+            if key < key0:
+                best = (b, size, key)
+
+    def grow(ext: int, blocked: int, above: int, left: int) -> None:
+        # ESU: every H-connected completion of `chosen` by up to `left`
+        # more indices. Each is drawn from the bits of ext, which then
+        # gains the H-neighbours of the added index above the least member
+        # and outside `blocked`, the closed H-neighbourhood of `chosen`;
         # recursion depth is at most max_size
-        nonlocal covered, best
-        stop = n - left + 1
+        nonlocal covered
+        size = len(chosen) + 1
         if left == 1:
-            size = len(chosen) + 1
-            for i in range(start, stop):
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                i = low.bit_length() - 1
                 b = covered - size
                 for v in closed[i]:
                     if not cover[v]:
                         b += 1
-                if best is None or b * best[1] < best[0] * size:
-                    best = (b, size, chosen + [i])
+                if b * best[1] <= best[0] * size:
+                    offer(b, chosen + [i])
             return
-        for i in range(start, stop):
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            i = low.bit_length() - 1
             for v in closed[i]:
                 if not cover[v]:
                     covered += 1
                 cover[v] += 1
             chosen.append(i)
-            extend(i + 1, left - 1)
+            b = covered - size
+            if b * best[1] <= best[0] * size:
+                offer(b, chosen)
+            grow(ext | (near[i] & above & ~blocked), blocked | near[i], above, left - 1)
             chosen.pop()
             for v in closed[i]:
                 cover[v] -= 1
                 if not cover[v]:
                     covered -= 1
 
-    for size in range(1, top + 1):
-        extend(0, size)
+    for root in range(n):
+        # the sets whose least index is root
+        grow(1 << root, 0, -(2 << root), top)
     b, size, indices = best
     return CheegerCertificate(
         best_ratio=Fraction(b, size),

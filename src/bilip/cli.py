@@ -183,9 +183,11 @@ def cmd_cheeger(args) -> int:
 
 
 def cmd_ends(args) -> int:
+    wanted = _families(args.check)
+    if not wanted:
+        raise InputError("no checks requested")
     tree, _meta = _load_tree(args.graph)
     es = enumerate_ends(tree)
-    wanted = _families(args.check)
     results = {}
     ok = True
     for name in wanted:

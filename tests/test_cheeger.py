@@ -13,7 +13,13 @@ from bilip.cheeger import (
 from bilip.errors import InputError
 from bilip.filling import build_filling, make_space
 from bilip.graph import Truncation, UdbgGraph
-from bilip.trees import RootedTree, gen_kary, gen_random_pseudo_regular, graft_dead_ends
+from bilip.trees import (
+    RootedTree,
+    gen_kary,
+    gen_path,
+    gen_random_pseudo_regular,
+    graft_dead_ends,
+)
 
 ALL_FAMILIES = ["balls", "level-bands", "descendant-subtrees", "random-connected"]
 
@@ -80,6 +86,74 @@ def test_exact_on_middle_path_segment():
     cert = cheeger_exact(t.trunc, 1)
     assert cert.best_ratio == Fraction(2, 3)
     assert set(cert.argmin_set) == set(interior)
+
+
+def connected_in(graph, vertex_set):
+    vertex_set = set(vertex_set)
+    stack = [min(vertex_set)]
+    seen = set(stack)
+    while stack:
+        for u in graph.neighbors(stack.pop()):
+            if u in vertex_set and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen == vertex_set
+
+
+def oracle_truncations():
+    """Small truncations of every kind the CLI builds, random parent arrays
+    (dead ends at every level), and four graphs that are not trees: a
+    level graph with chords and three Cantor fillings."""
+    rng = random.Random(18)
+    yield gen_kary(2, 3).trunc
+    yield gen_kary(2, 4).trunc
+    yield gen_kary(3, 3).trunc
+    for seed in range(3):
+        yield graft_dead_ends(gen_kary(2, 4), 1 + seed % 2, seed=seed).trunc
+        yield gen_random_pseudo_regular(seed, 2, 4, 4).trunc
+    for depth in (3, 4, 6):
+        yield gen_path(depth).trunc
+    yield center_rooted_path(3).trunc
+    # parents [None, 0, 1, 2, 3, 2]: at collar 2 the least ratio 1/3 is
+    # (0, 1, 5), which is connected only through vertex 2 of the collar
+    yield RootedTree.from_parents([None, 0, 1, 2, 3, 2]).trunc
+    # a level graph with chords in which (4, 5, 8) and (4, 6, 8) tie on
+    # ratio and size at collar 0: only the vertex tuple decides
+    edges = [(0, 1), (0, 2), (0, 5), (0, 8), (1, 3), (2, 3), (2, 4), (2, 6), (3, 7), (4, 8)]
+    adjacency = [[] for _ in range(9)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    yield Truncation.from_graph(UdbgGraph(adjacency, root=0, levels=[0, 1, 1, 2, 2, 1, 2, 3, 1]))
+    for _ in range(190):
+        n = rng.randint(5, 11)
+        yield RootedTree.from_parents([None] + [rng.randrange(v) for v in range(1, n)]).trunc
+    for levels, seed in ((3, 1), (4, 2), (4, 5)):
+        cantor = build_filling(make_space("cantor13", 6), Fraction(1, 3), Fraction(15, 4),
+                               levels, seed=seed)
+        yield Truncation.from_graph(cantor.graph)
+
+
+def test_exact_matches_all_subsets_on_small_truncations():
+    graphs = cases = disconnected = non_trees = 0
+    for trunc in oracle_truncations():
+        graphs += 1
+        non_trees += not trunc.graph.is_tree
+        for w in (0, 1, 2):
+            try:
+                interior = trunc.interior(w)
+            except InputError:
+                continue
+            for max_size in (1, 2, 3, 4):
+                cert = cheeger_exact(trunc, w, max_size=max_size)
+                ratio, _, argmin = brute_force_minimum(
+                    trunc.graph, interior, min(max_size, len(interior)))
+                assert (cert.best_ratio, cert.argmin_set) == (ratio, argmin), (w, max_size)
+                cases += 1
+                disconnected += not connected_in(trunc.graph, argmin)
+    assert graphs >= 200 and non_trees == 4
+    # argmins that only the distance-2 graph H joins
+    assert disconnected >= 5
 
 
 def test_exact_budget_guards():

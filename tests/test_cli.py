@@ -3,6 +3,7 @@ import hashlib
 import json
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -120,6 +121,13 @@ def test_ends_property_failure_exits_one(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["results"]["perfect"]["passed"] is False
     capsys.readouterr()
+
+
+def test_ends_with_no_checks_is_input_error(tmp_path, capsys):
+    tree = gen_tree(tmp_path, "t.json", "--kind", "kary", "--k", "2", "--depth", "3")
+    for checks in ("", ",", " , "):
+        assert run("ends", "--graph", str(tree), "--check", checks) == 2
+        assert capsys.readouterr().err == "error: no checks requested\n"
 
 
 def test_ends_rejects_incomplete_tree(tmp_path, capsys):
@@ -432,9 +440,14 @@ PINNED_REPORTS = (
     # --samples is accepted and ignored
     ("ends --graph k3d7.json --samples 200000 --out ends.json",
      "c3b300f94ec4ba9aa539d8cd0830a98d5a6d9e46ffe716e3cbb35ece93f9c360"),
-    # 206,367 subsets of a 31-vertex interior, incremental boundary counts
+    # the least ratio over all 206,367 subsets of a 31-vertex interior,
+    # found among the 4,072 that are connected at distance 2
     ("cheeger --graph k2d6.json --collar 1 --exact-max 5 --out cx.json",
      "27ae4215bc95253df9d16e4542d9eeeef67d96d2c49ac388299e3e52173a6e03"),
+    # exact on a filling, which is not a tree: its 31 interior vertices
+    # have 16 others within distance 2 on average
+    ("cheeger --graph c7.json --collar 1 --exact-max 4 --out cc7.json",
+     "85f095c8dfd1a8e6d419586cb92d88e0b7c595f382b42ebf308df1e6554e4ba7"),
     # sampled c_mult and d_add from one pass over 50,000 pairs
     ("qi --from k3d7.json --to k4d6.json --out qi7.json",
      "aa5aed69409b0858c9e61f1f5c9a9249994dbfb6670bce3f22dd41485bc60de8"),
@@ -516,6 +529,22 @@ def test_promote_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         assert run(*argv) == 0
         report = tmp_path / argv[argv.index("--out") + 1]
         assert hashlib.sha256(report.read_bytes()).hexdigest() == digest, command
+    capsys.readouterr()
+
+
+def readme_cli_commands():
+    """The `bilip ...` lines of the first code block under README's `## CLI`."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("bilip ")]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_cli_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        assert run(*argv) == 0, " ".join(argv)
     capsys.readouterr()
 
 
