@@ -167,7 +167,7 @@ def cmd_cheeger(args) -> int:
         "graph": str(args.graph),
         "collar": args.collar,
         "exact_max": args.exact_max,
-        "families": args.families,
+        "families": args.families if args.exact_max is None else None,
     }
     report = {
         "config": _config("cheeger", args.seed, args.out, params),
@@ -249,20 +249,12 @@ def cmd_promote(args) -> int:
         "from": str(getattr(args, "from")),
         "to": str(args.to),
         "map": strategy,
-        "rstart": args.rstart,
         "rmax": args.rmax,
         "collar": args.collar,
     }
     config = _config("promote", args.seed, args.out, params)
     try:
-        result = promote_matching(
-            mapping,
-            t_x,
-            t_y,
-            r_start=args.rstart,
-            r_max=args.rmax,
-            collar_w=args.collar,
-        )
+        result = promote_matching(mapping, t_x, t_y, r_max=args.rmax, collar_w=args.collar)
     except NoBoundedMatching as exc:
         if args.out:
             jsonio.save_json(
@@ -393,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
     p.add_argument("--map", default="auto", help="identity|nearest-center|ends|auto|FILE")
-    p.add_argument("--rstart", type=int, default=0)
     p.add_argument("--rmax", type=int, default=8)
     p.add_argument("--collar", type=int, default=1)
     p.add_argument("--seed", type=int, default=0,

@@ -1,16 +1,16 @@
 """Integer chains, the boundary criterion, and constructive promotion.
 
 The existence statement behind promotion is nonconstructive; here it is
-realized as maximum bipartite matching under an escalating radius
-schedule r = r_start, r_start+1, ... A radius succeeds when every
-X-interior vertex is matched to a target within r of its image. On
-finite truncations a cardinality mismatch is unavoidable, so unmatched
-target vertices are pushed toward the target's truncation sphere and the
-achieved confinement width is reported alongside the matching. The
-matching's bilipschitz constant is exact on every pair of graphs: a
-geodesic splits at matched vertices into pieces whose lengths add up, so
-by the triangle inequality the worst distortion is attained on a pair
-that no other matched vertex separates, and only those are measured.
+realized as maximum bipartite matching at radius r = 0, 1, ... until
+every X-interior vertex is matched to a target within r of its image, so
+r is the least such radius. On finite truncations a cardinality mismatch
+is unavoidable, so unmatched target vertices are pushed toward the
+target's truncation sphere until no alternating path moves one outward,
+which reaches the least confinement width at radius r. The matching's
+bilipschitz constant is exact on every pair of graphs: a geodesic splits
+at matched vertices into pieces whose lengths add up, so by the triangle
+inequality the worst distortion is attained on a pair that no other
+matched vertex separates, and only those are measured.
 """
 
 from __future__ import annotations
@@ -28,80 +28,44 @@ from .trees import CheckResult
 # -- chains ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeroChain:
-    """Finitely supported integer coefficients on vertices."""
-
-    coefficients: dict
-    bound: int
-
-    @classmethod
-    def make(cls, coefficients: dict) -> "ZeroChain":
-        cleaned = {v: c for v, c in coefficients.items() if c != 0}
-        bound = max((abs(c) for c in cleaned.values()), default=0)
-        return cls(coefficients=cleaned, bound=bound)
-
-    def value(self, v: int) -> int:
-        return self.coefficients.get(v, 0)
-
-    def sum_over(self, vertex_set: Iterable[int]) -> int:
-        return sum(self.coefficients.get(v, 0) for v in vertex_set)
-
-
-def deficiency_chain(mapping: dict[int, int], g_x: UdbgGraph, g_y: UdbgGraph) -> ZeroChain:
-    """Pushforward of the all-ones class minus the target's own: the
-    coefficient at y is |preimage(y)| - 1, so the total is |V_X| - |V_Y|."""
+def deficiency_chain(mapping: dict[int, int], g_x: UdbgGraph, g_y: UdbgGraph) -> list[int]:
+    """Pushforward of the all-ones class minus the target's own, indexed
+    by target vertex: the coefficient at y is |preimage(y)| - 1, so the
+    total is |V_X| - |V_Y|."""
     if len(mapping) != g_x.n:
         raise InputError("vertex map must be total on the source graph")
-    counts = [0] * g_y.n
+    chain = [-1] * g_y.n
     for x, y in mapping.items():
         g_x.check_vertex(x)
         g_y.check_vertex(y)
-        counts[y] += 1
-    return ZeroChain.make({y: counts[y] - 1 for y in range(g_y.n)})
-
-
-@dataclass(frozen=True)
-class CriterionReport:
-    max_ratio: Fraction
-    tested_sets: int
-    passed: Optional[bool]
-    witness: Optional[tuple]
+        chain[y] += 1
+    return chain
 
 
 def sum_boundary_criterion(
-    c: ZeroChain,
+    chain: Sequence[int],
     sets: Sequence[frozenset[int]],
     boundaries: Sequence[int],
-    C=None,
-) -> CriterionReport:
-    """|sum over S of c| against |boundary of S| over the given sets,
-    whose boundary sizes (at radius 1) come in `boundaries`.
+    C,
+) -> tuple[Fraction, Optional[tuple]]:
+    """|sum over S of chain| against C |boundary of S| over the given
+    sets, whose boundary sizes (at radius 1) come in `boundaries`.
 
-    Reports the worst ratio (the empirical constant) and, when C is
-    supplied, whether every tested set satisfies the bound, with the
-    first violating set as witness. Exact rational arithmetic.
+    Returns the worst ratio (the empirical constant) and the first set,
+    in list order and sorted, whose sum exceeds C times its boundary, or
+    None when every set satisfies the bound. Exact rational arithmetic.
     """
-    bound = Fraction(C) if C is not None else None
+    bound = Fraction(C)
     max_ratio = Fraction(0)
-    passed: Optional[bool] = None if bound is None else True
     witness = None
     for vertex_set, edge in zip(sets, boundaries):
-        total = abs(c.sum_over(vertex_set))
         if edge == 0:
             raise InputError("a tested set has empty boundary; it must be proper")
-        ratio = Fraction(total, edge)
-        if ratio > max_ratio:
-            max_ratio = ratio
-        if bound is not None and total > bound * edge and witness is None:
-            passed = False
+        total = abs(sum(chain[v] for v in vertex_set))
+        max_ratio = max(max_ratio, Fraction(total, edge))
+        if witness is None and total > bound * edge:
             witness = tuple(sorted(vertex_set))
-    return CriterionReport(
-        max_ratio=max_ratio,
-        tested_sets=len(sets),
-        passed=passed,
-        witness=witness,
-    )
+    return max_ratio, witness
 
 
 # -- matching ----------------------------------------------------------------
@@ -168,32 +132,34 @@ def _max_matching(xs, adj_of, match_x, match_y):
                         chosen.pop()
 
 
-# Sweeps of _push_unmatched_toward_sphere. A sweep that flips lowers the
-# unmatched set's total depth, so the loop would end uncapped too, but only
-# after up to that many sweeps, each a search from every unmatched vertex.
-# The cap bounds the work; the report states the width reached, which is
-# not certified minimal.
-CONFINEMENT_SWEEPS = 8
-
-
 def _push_unmatched_toward_sphere(g_y, match_x, match_y, radj, from_sphere):
-    """Alternating-path flips moving unmatched target vertices outward.
+    """Alternating-path flips moving unmatched target vertices outward,
+    in sweeps until a sweep makes no flip.
 
-    Each flip frees a vertex strictly closer to the truncation sphere in
-    exchange for covering a deeper one; the total interior depth of the
-    unmatched set strictly decreases, so this terminates. Unmatched
+    match_x must be a maximum matching at radius r; a flip keeps its
+    X-side. Each flip frees a vertex strictly closer to the truncation
+    sphere in exchange for covering a deeper one, so the total depth of
+    the unmatched set strictly decreases and the sweeps end. Unmatched
     vertices already on the sphere (depth 0) are not searched from: no
     vertex is strictly shallower, so their search could never flip.
+
+    The fixed point has the least confinement width. The Y-sides of the
+    maximum matchings are the bases of a transversal matroid, and by
+    Mendelsohn-Dulmage each is also the Y-side of one that saturates
+    the interior. A flip is exactly a basis exchange, so a matching no
+    flip improves is a maximum-weight basis under weight from_sphere,
+    which is Gale-optimal: for every t it covers as many targets of
+    depth >= t as any basis. So no matching at radius r that saturates
+    the interior leaves a shallower deepest unmatched target.
     """
-    for _ in range(CONFINEMENT_SWEEPS):
+    improved = True
+    while improved:
         unmatched = sorted(
             (y for y in g_y.vertices() if y not in match_y and y in radj and from_sphere[y] > 0),
             key=lambda y: (-from_sphere[y], y),
         )
         improved = False
         for y0 in unmatched:
-            if y0 in match_y:
-                continue
             goal = from_sphere[y0]
             parent = {y0: None}
             queue = deque([y0])
@@ -205,16 +171,13 @@ def _push_unmatched_toward_sphere(g_y, match_x, match_y, radj, from_sphere):
                     if y_next is None or y_next in parent:
                         continue
                     parent[y_next] = (y, x)
-                    if from_sphere[y_next] < goal and (
-                        best is None
-                        or (from_sphere[y_next], y_next)
-                        < (from_sphere[best], best)
-                    ):
-                        best = y_next
+                    rank = (from_sphere[y_next], y_next)
+                    if rank[0] < goal and (best is None or rank < best):
+                        best = rank
                     queue.append(y_next)
             if best is None:
                 continue
-            cur = best
+            cur = best[1]
             while parent[cur] is not None:
                 prev, x = parent[cur]
                 match_x[x] = prev
@@ -223,8 +186,6 @@ def _push_unmatched_toward_sphere(g_y, match_x, match_y, radj, from_sphere):
                     del match_y[cur]
                 cur = prev
             improved = True
-        if not improved:
-            return
 
 
 @dataclass(frozen=True)
@@ -260,33 +221,34 @@ def promote_matching(
     mapping: dict[int, int],
     t_x: Truncation,
     t_y: Truncation,
-    r_start: int = 0,
+    *,
     r_max: int = 8,
     collar_w: int = 1,
 ) -> MatchingResult:
-    """Smallest radius whose candidate graph matches every interior vertex.
+    """Least radius r <= r_max whose candidate graph matches every
+    interior vertex, with the least confinement width at that radius.
 
-    Candidates for x are target vertices within r of mapping[x]. Earlier radii
-    must fail before a radius is accepted, certifying minimality within
-    [r_start, r_max]; NoBoundedMatching past r_max signals failing
-    hypotheses (no linear isoperimetric inequality, or a map too far from
-    any bijection), which is the expected negative-control outcome. It
-    is raised as soon as a failing radius has every candidate ball equal
-    to all of Y, since no larger radius changes the candidates.
+    Candidates for x are target vertices within r of mapping[x]. Every
+    smaller radius failed, so the interior pairs reach distance r from
+    the map. NoBoundedMatching past r_max signals failing hypotheses (no
+    linear isoperimetric inequality, or a map too far from any
+    bijection), which is the expected negative-control outcome. It is
+    raised as soon as a failing radius has every candidate ball equal to
+    all of Y, since no larger radius changes the candidates.
 
-    The matching's bilipschitz constant is exact at any size (see
-    bilipschitz_constant), and 1 for a matching of one pair.
+    The width is least over all matchings at radius r that saturate the
+    interior (see _push_unmatched_toward_sphere). The bilipschitz
+    constant is exact at any size, and 1 for a matching of one pair.
     """
     g_x, g_y = t_x.graph, t_y.graph
     if len(mapping) != g_x.n:
         raise InputError("vertex map must be total on the source graph")
-    if r_start < 0 or r_max < r_start:
-        raise InputError("need 0 <= r_start <= r_max")
+    if r_max < 0:
+        raise InputError("need r_max >= 0")
     interior = sorted(t_x.interior(collar_w))
     xs_all = list(g_x.vertices())
     from_sphere = g_y.distances_from_set(t_y.trunc_sphere)
-    last_unsat = len(interior)
-    for r in range(r_start, r_max + 1):
+    for r in range(r_max + 1):
         balls: dict[int, list[int]] = {}
         for y0 in set(mapping.values()):
             balls[y0] = sorted(g_y.ball(y0, r)) if r > 0 else [y0]
@@ -312,7 +274,7 @@ def promote_matching(
         unmatched = tuple(sorted(y for y in g_y.vertices() if y not in match_y))
         confinement = max((from_sphere[y] for y in unmatched), default=0)
         distance = g_y.max_distance((mapping[x], y) for x, y in match_x.items())
-        assert distance <= r, "matched outside the candidate radius"
+        assert distance == r, "matched outside the candidate radius, or a smaller one would do"
         # bilipschitz_constant needs two pairs; one pair has nothing to distort
         bilip = bilipschitz_constant(match_x, g_x, g_y) if len(match_x) > 1 else Fraction(1)
         return MatchingResult(
@@ -397,21 +359,14 @@ def verify_promotion_consistency(
     sets = family_sets(t_y, collar, families, seed)
     boundaries = _boundary_sizes(t_y.graph, sets)
     cert = _family_certificate(collar, families, seed, sets, boundaries)
-    bound_a = chain.bound
+    bound_a = max(map(abs, chain))
     constant = Fraction(bound_a, 1) / cert.best_ratio
-    if bound_a == 0:
-        report = sum_boundary_criterion(chain, sets, boundaries, C=Fraction(1))
-        passed = report.max_ratio == 0
-        witness = report.witness
-    else:
-        report = sum_boundary_criterion(chain, sets, boundaries, C=constant)
-        passed = bool(report.passed)
-        witness = report.witness
+    max_ratio, witness = sum_boundary_criterion(chain, sets, boundaries, constant)
     details = {
         "deficiency_bound": bound_a,
         "cheeger_best_ratio": cert.best_ratio,
         "criterion_constant": constant,
-        "max_ratio": report.max_ratio,
-        "tested_sets": report.tested_sets,
+        "max_ratio": max_ratio,
+        "tested_sets": len(sets),
     }
-    return CheckResult(passed, witness=witness), details
+    return CheckResult(witness is None, witness=witness), details

@@ -174,7 +174,7 @@ def test_criterion_05_trivial_promotion():
     for name, trunc in identity_suite():
         budget = Budget(1)
         ident = {v: v for v in trunc.graph.vertices()}
-        res = promote_matching(ident, trunc, trunc, r_start=0, r_max=1, collar_w=1)
+        res = promote_matching(ident, trunc, trunc, r_max=1, collar_w=1)
         assert res.r == 0, name
         assert res.bilip_constant == 1, name
         assert res.unmatched_y == (), name
@@ -185,7 +185,7 @@ def test_criterion_05_trivial_promotion():
 def regular_pair_instance(depth_x, depth_y):
     tx, ty = gen_kary(3, depth_x), gen_kary(4, depth_y)
     vm = tree_vertex_map(tx, ty)
-    res = promote_matching(vm, tx.trunc, ty.trunc, r_start=0, r_max=8, collar_w=2)
+    res = promote_matching(vm, tx.trunc, ty.trunc, r_max=8, collar_w=2)
     return tx, ty, vm, res
 
 
@@ -205,7 +205,7 @@ def stretched_instance(depth, r_max):
     x = graft_dead_ends(gen_kary(2, depth), lambda l: l, 7)
     y = gen_kary(2, depth)
     vm = tree_vertex_map(x, y)
-    return promote_matching(vm, x.trunc, y.trunc, r_start=0, r_max=r_max, collar_w=1)
+    return promote_matching(vm, x.trunc, y.trunc, r_max=r_max, collar_w=1)
 
 
 def test_criterion_07_negative_control():
@@ -237,7 +237,7 @@ def test_criterion_08_filling_pair():
     vm = nearest_center_map(fa, fb)
     ta = Truncation.from_graph(fa.graph)
     tb = Truncation.from_graph(fb.graph)
-    res = promote_matching(vm, ta, tb, r_start=0, r_max=6, collar_w=1)
+    res = promote_matching(vm, ta, tb, r_max=6, collar_w=1)
     assert res.confinement_width <= 1
     deg_a = filling_sanity(fa)["max_degree_per_level"]
     deg_b = filling_sanity(fb)["max_degree_per_level"]

@@ -154,8 +154,15 @@ def test_promote_identity(tmp_path, capsys):
     assert "r=0" in printed and "L=1/1" in printed
     report = json.loads(out.read_text())
     assert report["promoted"] is True
-    assert report["matching"]["r"] == 0
+    assert report["matching"]["r"] == report["matching"]["distance_to_map"] == 0
     assert report["matching"]["unmatched_y"] == []
+
+
+def test_promote_has_no_start_radius_option(tmp_path, capsys):
+    a = gen_tree(tmp_path, "a.json", "--kind", "kary", "--k", "2", "--depth", "3")
+    assert run("promote", "--from", str(a), "--to", str(a), "--map", "identity",
+               "--rstart", "0") == 2
+    assert "unrecognized arguments: --rstart" in capsys.readouterr().err
 
 
 def test_promote_failure_exit_code(tmp_path, capsys):
@@ -183,6 +190,7 @@ def test_promote_to_one_pair_has_constant_one(tmp_path, capsys):
     assert "r=0" in printed and "L=1/1" in printed
     matching = json.loads(out.read_text())["matching"]
     assert matching["pairs"] == {"0": 0}
+    assert matching["r"] == matching["distance_to_map"] == 0
     assert matching["bilip_constant"] == {"num": 1, "den": 1}
 
 
@@ -231,6 +239,7 @@ def test_promote_with_explicit_ends_strategy(tmp_path, capsys):
                "--rmax", "6", "--out", str(out)) == 0
     report = json.loads(out.read_text())
     assert report["matching"]["confinement_width"] <= 2
+    assert report["matching"]["distance_to_map"] == report["matching"]["r"]
     capsys.readouterr()
 
 
@@ -245,6 +254,7 @@ def test_promote_between_fillings(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["promoted"] is True
     assert report["config"]["stages"]["promote"]["map"] == "nearest-center"
+    assert report["matching"]["distance_to_map"] == report["matching"]["r"]
     capsys.readouterr()
 
 
@@ -266,6 +276,7 @@ def test_promote_measures_large_fillings_exactly(tmp_path, monkeypatch, capsys):
                "--rmax", "6", "--collar", "1", "--out", str(out)) == 0
     matching = json.loads(out.read_text())["matching"]
     assert len(matching["pairs"]) == 1256
+    assert matching["distance_to_map"] == matching["r"]
     assert matching["bilip_constant"] == {"num": 4, "den": 1}
     capsys.readouterr()
 
@@ -424,7 +435,7 @@ PINNED_REPORTS = (
     # sphere and 7 one level in, so the confinement sweep's pruning of
     # depth-0 targets is exercised
     ("promote --from x.json --to y.json --map ends --collar 2 --seed 0 --out p.json",
-     "245d359027bf5c538db784c8cd687d0a702073a48c0d372ffe8f65094196436d"),
+     "b4cea9ab4615051fe135c4c7214c1d4afef58fde23abaf6f249a9e1f5b8b391e"),
     # sampled qi_constants: 1,093 and 1,365 vertices are above the exact limit
     ("qi --from x.json --to y.json --samples 5000 --out qi.json",
      "2c6319904f20c8d0b36666260b611e98ca3ed2d7e4d52279a44f6c5d914b4941"),
@@ -435,19 +446,20 @@ PINNED_REPORTS = (
     # 3,280 source vertices, 2,820 matched: between two trees L = 6 is
     # exact at any size, from the pairs no other matched vertex separates
     ("promote --from k3d7.json --to k4d6.json --map ends --collar 2 --out p7.json",
-     "b62381eebcc4dc56190570ee6f21867012c9b6370e53c2b3e6bc9e28fc8a54fb"),
+     "a94c4064fb9630c9823b69be030be35ea66593d4fcf4b82738839a2e5ad02847"),
     # 2,187 rays: ultrametric by identity, perfectness over both chains;
     # --samples is accepted and ignored
     ("ends --graph k3d7.json --samples 200000 --out ends.json",
      "c3b300f94ec4ba9aa539d8cd0830a98d5a6d9e46ffe716e3cbb35ece93f9c360"),
     # the least ratio over all 206,367 subsets of a 31-vertex interior,
-    # found among the 4,072 that are connected at distance 2
+    # found among the 4,072 that are connected at distance 2; the config
+    # records no families, since none ran
     ("cheeger --graph k2d6.json --collar 1 --exact-max 5 --out cx.json",
-     "27ae4215bc95253df9d16e4542d9eeeef67d96d2c49ac388299e3e52173a6e03"),
+     "e22b0d4d9d13a521d80c06017667b2b3e2966f174a41f433e23deddd981312bb"),
     # exact on a filling, which is not a tree: its 31 interior vertices
     # have 16 others within distance 2 on average
     ("cheeger --graph c7.json --collar 1 --exact-max 4 --out cc7.json",
-     "85f095c8dfd1a8e6d419586cb92d88e0b7c595f382b42ebf308df1e6554e4ba7"),
+     "5431ec99c75b55e4724d8a825c08bdb4962e95a6280c03b8fbbad48663dcafcc"),
     # sampled c_mult and d_add from one pass over 50,000 pairs
     ("qi --from k3d7.json --to k4d6.json --out qi7.json",
      "aa5aed69409b0858c9e61f1f5c9a9249994dbfb6670bce3f22dd41485bc60de8"),
@@ -457,14 +469,14 @@ PINNED_REPORTS = (
      "c1f7bd04c943b86f918d386af1da3937f0491b463971f857398bb6cea7a9a13a"),
     # stretched source: complete_core prunes its dead ends before the end map
     ("promote --from s6.json --to k2d6.json --map ends --collar 1 --out ps.json",
-     "8fbf4941e4dfb8835e1e2d725f8a790e3d74217fee05120345bee162ef61c07a"),
+     "d7e3d01df86646b1201d92c9e80407be728174f39328c33db1f3846ec5e8db05"),
     # fillings loaded once for both the graph and the nearest-center map
     ("promote --from fa.json --to fb.json --map nearest-center --collar 1 --out pf.json",
-     "314885a7af28b3de37b8d6e2f6216b9fabbeefe2fec2bb3a444e0365b75612db"),
+     "f58f7fa444d77231049d5c584664ca34345b13a8620de18cee1edec06b9a1a1e"),
     # a non-tree promotion that first succeeds at r = 1: balls, the
     # distance to the map and exact distortion all run on fillings
     ("promote --from i0.json --to i2.json --map nearest-center --collar 1 --out pi.json",
-     "8164c9ac7a2c18e9712c211ab3d745ab9c0ac9d4f23df11c7859372f8b0dc2e8"),
+     "c01b4a3b4d571233f8c73511c881baba2930e19c7ba26bff585198ae85e6df2e"),
     # the filling files themselves: the benchmark's 511-vertex Cantor
     # filling, and grids whose nets and windows wrap on the circle
     ("fill --space cantor13 --levels 9 --resolution 10 --scale 1/3 --tau 15/4 --seed 1 "
@@ -489,15 +501,15 @@ PINNED_REPORTS = (
      "e76f0ea7ee28e3d3bbac4600ed0e98cec2f1f0616ef750bec3b04caa6b62ffed"),
     # a 63-vertex cantor13 bijection: L = 2 measured off trees
     ("promote --from c6a.json --to c6b.json --map nearest-center --collar 1 --out pc6.json",
-     "dbb277adf15910abe2e80e909f439ca2b54b7192956fb4f5aa87f96d95b99208"),
+     "8f7cf0429aa61241d40dc32b4986eb1304d7f9f8314f117cae1780b5a11660db"),
     # the stretched control at depth 9: promotes at r = 2 with L = 8
     ("promote --from s9.json --to k2d9.json --map ends --rmax 6 --collar 1 --seed 7 "
      "--out pst.json",
-     "09eab405db9b2dc132eea7e79d2c0f5036da5c20f6c52e0ca4a7129478f08d1e"),
+     "c3a447b66de0e78dbc8dcf3d7ddac49f5cc407b25923ede89487213c4ab361ea"),
     # a tree into a larger filling by a map file: 6 images missing from a
     # non-tree side, L = 8
     ("promote --from k3d4.json --to c7.json --map m.json --collar 1 --out pm.json",
-     "2855357071c228447ece25d7b16e4706e01aa7787ef6c530eba0f624e53f1cbb"),
+     "f65fd5914beddc39a3eb9de496644b856b771f84c6b33919eb8a6cd99975a0d7"),
 )
 
 PINNED_INPUTS = (
@@ -529,6 +541,9 @@ def test_promote_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         assert run(*argv) == 0
         report = tmp_path / argv[argv.index("--out") + 1]
         assert hashlib.sha256(report.read_bytes()).hexdigest() == digest, command
+        if argv[0] == "promote":
+            matching = json.loads(report.read_text())["matching"]
+            assert matching["distance_to_map"] == matching["r"], command
     capsys.readouterr()
 
 
@@ -771,8 +786,10 @@ VALID_ARGV = (
     "gen-tree --kind grafted --k 2 --depth 3 --dead-end-len 2 --seed 1 --out o.json",
     "gen-tree --kind stretched --k 2 --depth 3 --seed 1 --out o.json",
     "qi --from t.json --to t.json --samples 100 --seed 0 --out o.json",
-    "promote --from t.json --to t.json --map identity --rstart 0 --rmax 2 --collar 1 --seed 0 "
+    "promote --from t.json --to t.json --map identity --rmax 2 --collar 1 --seed 0 --out o.json",
+    "verify --from t.json --to t.json --map identity --collar 1 --families balls --seed 0 "
     "--out o.json",
+    "ends --graph t.json --check ultrametric,perfect --perfect-K 1 --out o.json",
     "cheeger --graph t.json --collar 1 --exact-max 3 --seed 0 --out o.json",
     "cheeger --graph t.json --collar 1 --families balls,level-bands --seed 0 --out o.json",
 )

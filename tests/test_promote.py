@@ -9,7 +9,6 @@ from bilip.errors import InputError, NoBoundedMatching
 from bilip.filling import build_filling, make_space, nearest_center_map
 from bilip.graph import UdbgGraph
 from bilip.promote import (
-    ZeroChain,
     bilipschitz_constant,
     deficiency_chain,
     promote_matching,
@@ -17,7 +16,7 @@ from bilip.promote import (
     sum_boundary_criterion,
 )
 from bilip.qimaps import _exact_values, _max_distortion, tree_vertex_map
-from bilip.trees import gen_kary, gen_random_pseudo_regular, graft_dead_ends
+from bilip.trees import RootedTree, gen_kary, gen_random_pseudo_regular, graft_dead_ends
 
 from tree_fixtures import tree_facts
 
@@ -33,28 +32,23 @@ def parent_map(t):
     return {v: (parent[v] if parent[v] is not None else v) for v in range(t.n)}
 
 
-def test_zero_chain_normalization():
-    c = ZeroChain.make({0: 2, 1: 0, 2: -5})
-    assert c.coefficients == {0: 2, 2: -5}
-    assert c.bound == 5
-    assert sum(c.coefficients.values()) == -3
-    assert c.sum_over({1, 2}) == -5
-    assert ZeroChain.make({}).bound == 0
-
-
 def test_deficiency_identity_and_parent_map():
     t = gen_kary(2, 4)
     ident = {v: v for v in range(t.n)}
-    assert deficiency_chain(ident, t.graph, t.graph).coefficients == {}
+    assert deficiency_chain(ident, t.graph, t.graph) == [0] * t.n
 
+    # the root keeps itself and gains its two children; internal non-root
+    # vertices (levels 1..3) gain two children; leaves lose themselves
     c = deficiency_chain(parent_map(t), t.graph, t.graph)
-    assert c.value(0) == 2
-    for v in range(1, 15):  # internal non-root vertices, levels 1..3
-        assert c.value(v) == 1
-    for v in range(15, 31):  # leaves
-        assert c.value(v) == -1
-    assert sum(c.coefficients.values()) == 0
-    assert c.bound == 2
+    assert c == [2] + [1] * 14 + [-1] * 16
+    assert sum(c) == 0
+
+    # three vertices onto the first of four: one coefficient per target,
+    # -1 plus one per preimage
+    g_x, g_y = gen_kary(2, 1).graph, gen_kary(3, 1).graph
+    assert deficiency_chain({0: 0, 1: 0, 2: 0}, g_x, g_y) == [2, -1, -1, -1]
+    with pytest.raises(InputError):
+        deficiency_chain({0: 0, 1: 0}, g_x, g_y)
 
 
 def test_deficiency_bound_stable_in_depth():
@@ -63,52 +57,75 @@ def test_deficiency_bound_stable_in_depth():
         ta, tb = gen_kary(2, d_bin), gen_kary(4, d_quad)
         vm = tree_vertex_map(ta, tb)
         c = deficiency_chain(vm, ta.graph, tb.graph)
-        assert sum(c.coefficients.values()) == ta.n - tb.n
-        bounds.append(c.bound)
+        assert len(c) == tb.n
+        assert sum(c) == ta.n - tb.n
+        bounds.append(max(map(abs, c)))
     assert bounds == [2, 2]
 
 
 def test_sum_boundary_zero_chain_trivial():
     t = gen_kary(2, 5)
     sets = family_sets(t.trunc, 1, FAMILIES, seed=0)
-    report = sum_boundary_criterion(ZeroChain.make({}), sets, boundaries(t.graph, sets),
-                                    C=Fraction(1, 100))
-    assert report.max_ratio == 0
-    assert report.passed and report.witness is None
+    assert sum_boundary_criterion([0] * t.n, sets, boundaries(t.graph, sets),
+                                  Fraction(1, 100)) == (0, None)
 
 
 def test_sum_boundary_parent_map_ratio():
     t = gen_kary(2, 6)
     c = deficiency_chain(parent_map(t), t.graph, t.graph)
     sets = family_sets(t.trunc, 1, ["balls"], seed=0)
-    report = sum_boundary_criterion(c, sets, boundaries(t.graph, sets))
-    assert report.max_ratio <= 2
-    assert report.max_ratio == 1  # computed; root balls realize equality
+    max_ratio, witness = sum_boundary_criterion(c, sets, boundaries(t.graph, sets), 2)
+    assert max_ratio == 1  # computed; root balls realize equality
+    assert witness is None
 
 
 def test_sum_boundary_constant_function_consistent_with_cheeger():
     t = gen_kary(2, 6)
     interior = t.trunc.interior(1)
-    ones = ZeroChain.make({v: 1 for v in interior})
+    ones = [int(v in interior) for v in range(t.n)]
     sets = family_sets(t.trunc, 1, FAMILIES, seed=2)
-    report = sum_boundary_criterion(ones, sets, boundaries(t.graph, sets))
     cert = cheeger_family(t.trunc, 1, FAMILIES, seed=2)
-    assert report.max_ratio <= 1 / cert.best_ratio
+    # the same sets: the worst |S| / |boundary| is the reciprocal of the best ratio
+    assert sum_boundary_criterion(ones, sets, boundaries(t.graph, sets),
+                                  1 / cert.best_ratio) == (1 / cert.best_ratio, None)
+
+
+def test_sum_boundary_witness_is_the_first_violating_set_sorted():
+    chain = [3, -1, 0, 0, 0, 0, 0, 0, 2]
+    sets = [frozenset({2}), frozenset({8, 0}), frozenset({1, 8})]
+    edges = [1, 2, 1]
+    # sums 0, 5, 1: ratios 0, 5/2, 1
+    assert sum_boundary_criterion(chain, sets, edges, Fraction(5, 2)) == (Fraction(5, 2), None)
+    assert sum_boundary_criterion(chain, sets, edges, Fraction(1, 2)) == (Fraction(5, 2), (0, 8))
+    assert sum_boundary_criterion(chain, sets[::-1], edges[::-1], 1) == (Fraction(5, 2), (0, 8))
+    assert sum_boundary_criterion(chain, sets[::-1], edges[::-1], Fraction(1, 2)) == (
+        Fraction(5, 2), (1, 8))
+    with pytest.raises(InputError):
+        sum_boundary_criterion(chain, sets, [1, 0, 1], 1)
+
+    # on a tree: below the worst ratio, the first ball that breaks the bound
+    t = gen_kary(2, 6)
+    c = deficiency_chain(parent_map(t), t.graph, t.graph)
+    sets = family_sets(t.trunc, 1, ["balls"], seed=0)
+    edges = boundaries(t.graph, sets)
+    violating = [s for s, e in zip(sets, edges) if 2 * abs(sum(c[v] for v in s)) > e]
+    assert len(violating) >= 2
+    assert sum_boundary_criterion(c, sets, edges, Fraction(1, 2)) == (
+        1, tuple(sorted(violating[0])))
 
 
 def test_promote_identity_and_parent_map():
     t = gen_kary(2, 5)
     ident = {v: v for v in range(t.n)}
-    res = promote_matching(ident, t.trunc, t.trunc, r_start=0, r_max=3, collar_w=1)
+    res = promote_matching(ident, t.trunc, t.trunc, r_max=3, collar_w=1)
     assert (res.r, res.bilip_constant, res.unmatched_y) == (0, 1, ())
     assert res.confinement_width == 0
     assert res.distance_to_map == 0
 
     pm = parent_map(t)
-    res2 = promote_matching(pm, t.trunc, t.trunc, r_start=0, r_max=3, collar_w=1)
+    res2 = promote_matching(pm, t.trunc, t.trunc, r_max=3, collar_w=1)
     assert res2.r == 1
-    assert res2.distance_to_map == 1
-    assert res2.distance_to_map <= res2.r
+    assert res2.distance_to_map == res2.r
     # the matcher lands on the identity bijection here
     assert all(x == y for x, y in res2.pairs.items())
     assert res2.bilip_constant == 1
@@ -117,7 +134,8 @@ def test_promote_identity_and_parent_map():
 def test_promote_saturates_interior_recount():
     ta, tb = gen_kary(3, 4), gen_kary(4, 3)
     vm = tree_vertex_map(ta, tb)
-    res = promote_matching(vm, ta.trunc, tb.trunc, r_start=0, r_max=6, collar_w=1)
+    res = promote_matching(vm, ta.trunc, tb.trunc, r_max=6, collar_w=1)
+    assert res.distance_to_map == res.r
     matched = set(res.pairs)
     for v in ta.trunc.interior(1):
         assert v in matched
@@ -127,12 +145,13 @@ def test_promote_saturates_interior_recount():
         assert tb.graph.distance(vm[x], y) <= res.r
 
 
-def test_promote_succeeds_at_larger_radius_too():
-    ta, tb = gen_kary(3, 4), gen_kary(4, 3)
-    vm = tree_vertex_map(ta, tb)
-    first = promote_matching(vm, ta.trunc, tb.trunc, r_start=0, r_max=6, collar_w=1)
-    later = promote_matching(vm, ta.trunc, tb.trunc, r_start=first.r + 1, r_max=first.r + 1, collar_w=1)
-    assert later.r == first.r + 1
+def test_promote_takes_its_radius_and_collar_by_keyword():
+    t = gen_kary(2, 3)
+    ident = {v: v for v in range(t.n)}
+    with pytest.raises(TypeError):
+        promote_matching(ident, t.trunc, t.trunc, 0, 3)
+    with pytest.raises(InputError):
+        promote_matching(ident, t.trunc, t.trunc, r_max=-1)
 
 
 def test_promote_no_bounded_matching():
@@ -140,8 +159,60 @@ def test_promote_no_bounded_matching():
     y = gen_kary(2, 6)
     vm = tree_vertex_map(x, y)
     with pytest.raises(NoBoundedMatching) as err:
-        promote_matching(vm, x.trunc, y.trunc, r_start=0, r_max=0, collar_w=1)
+        promote_matching(vm, x.trunc, y.trunc, r_max=0, collar_w=1)
     assert err.value.r_max == 0 and err.value.unsaturated > 0
+
+
+def least_width_by_enumeration(mapping, t_x, t_y, interior, r):
+    """The least, over every matching at radius r that saturates the
+    interior, of the deepest unmatched target's distance to the
+    truncation sphere (0 when none is unmatched). Matchings are
+    enumerated by their sets of matched targets, one source at a time."""
+    g_y = t_y.graph
+    depth = g_y.distances_from_set(t_y.trunc_sphere)
+    covered = {0}  # bitmask of the targets matched so far
+    for x in t_x.graph.vertices():
+        ball = g_y.ball(mapping[x], r)
+        grown = set() if x in interior else set(covered)
+        for mask in covered:
+            grown.update(mask | 1 << y for y in ball if not mask >> y & 1)
+        covered = grown
+    return min(max((depth[y] for y in g_y.vertices() if not mask >> y & 1), default=0)
+               for mask in covered)
+
+
+def random_tree(rng, n):
+    return RootedTree.from_parents([None] + [rng.randrange(v) for v in range(1, n)])
+
+
+def test_confinement_width_is_least_over_all_matchings():
+    """On 2,000 random small tree pairs with random total maps, the width
+    reached equals the least over every matching at the reported radius,
+    and the radius below fails. Without the push to the sphere about one
+    width in eight comes out too large."""
+    rng = random.Random(19)
+    cases = nonzero = 0
+    while cases < 2000:
+        t_x, t_y = random_tree(rng, rng.randint(4, 9)), random_tree(rng, rng.randint(6, 11))
+        mapping = {x: rng.randrange(t_y.n) for x in range(t_x.n)}
+        collar = rng.randint(0, 1)
+        if t_x.trunc.depth <= collar:
+            continue  # empty interior
+        interior = t_x.trunc.interior(collar)
+        if len(interior) > t_y.n:
+            continue  # no injection at any radius
+        # at radius n_y every candidate ball is all of Y
+        res = promote_matching(mapping, t_x.trunc, t_y.trunc, r_max=t_y.n, collar_w=collar)
+        assert res.distance_to_map == res.r
+        assert res.confinement_width == least_width_by_enumeration(
+            mapping, t_x.trunc, t_y.trunc, interior, res.r), (t_x.graph, t_y.graph, mapping)
+        if res.r:
+            with pytest.raises(NoBoundedMatching):
+                promote_matching(mapping, t_x.trunc, t_y.trunc, r_max=res.r - 1,
+                                 collar_w=collar)
+        cases += 1
+        nonzero += res.confinement_width > 0
+    assert nonzero >= 1000
 
 
 def kuhn_max_matching_size(adj, n_left):
@@ -188,7 +259,8 @@ def test_matching_engine_against_reference():
 def test_matching_result_constants_recompute():
     ta, tb = gen_kary(3, 4), gen_kary(4, 3)
     vm = tree_vertex_map(ta, tb)
-    res = promote_matching(vm, ta.trunc, tb.trunc, r_start=0, r_max=6, collar_w=1)
+    res = promote_matching(vm, ta.trunc, tb.trunc, r_max=6, collar_w=1)
+    assert res.distance_to_map == res.r
     again = bilipschitz_constant(res.pairs, ta.graph, tb.graph)
     assert again == res.bilip_constant
 
@@ -258,8 +330,8 @@ def test_promote_generic_random_tree_pair():
     a = gen_random_pseudo_regular(1, 2, 8, 5)
     b = gen_random_pseudo_regular(9, 3, 8, 5)
     vm = tree_vertex_map(a, b)
-    res = promote_matching(vm, a.trunc, b.trunc, r_start=0, r_max=10, collar_w=2)
-    assert res.r == 1
+    res = promote_matching(vm, a.trunc, b.trunc, r_max=10, collar_w=2)
+    assert res.r == res.distance_to_map == 1
     assert res.confinement_width == 3
     check, _ = verify_promotion_consistency(
         vm, a.trunc, b.trunc, 1, FAMILIES + ["descendant-subtrees"], seed=0
