@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Optional
 
 from .errors import InputError
@@ -24,7 +23,8 @@ from .graph import UNREACHED, Truncation, UdbgGraph
 
 FAMILY_NAMES = ("balls", "level-bands", "descendant-subtrees", "random-connected")
 
-EXACT_INTERIOR_LIMIT = 24
+# the most sets cheeger_exact may visit before it gives up
+EXACT_SET_BUDGET = 20_000_000
 
 # family_sets caps: ball centers sampled, random connected sets grown,
 # and the largest size one may reach
@@ -69,27 +69,15 @@ def cheeger_exact(t: Truncation, w: int, max_size: Optional[int] = None) -> Chee
     ratio no larger with fewer vertices, so a set with k > 1 never wins.
     ESU (Wernicke 2006) visits each H-connected set once, grown from its
     least vertex. |boundary(A)| = |N[A]| - |A| is kept incrementally from
-    per-vertex counts of closed neighbourhoods covering it. The budget
-    still counts every subset up to max_size.
+    per-vertex counts of closed neighbourhoods covering it. InputError
+    once the search has visited more than EXACT_SET_BUDGET sets.
     """
     interior = sorted(t.interior(w))
     n = len(interior)
     if max_size is None:
-        if n > EXACT_INTERIOR_LIMIT:
-            raise InputError(
-                f"interior has {n} > {EXACT_INTERIOR_LIMIT} vertices; "
-                "cap max_size or use cheeger_family"
-            )
         max_size = n
     if max_size < 1:
         raise InputError("max_size must be at least 1")
-    top = min(max_size, n)
-    total = sum(comb(n, s) for s in range(1, top + 1))
-    if total > 20_000_000:
-        raise InputError(
-            f"{total} subsets exceed the enumeration budget; "
-            "lower max_size or use cheeger_family"
-        )
     g = t.graph
     closed = [(v,) + g.neighbors(v) for v in interior]
     index = {v: i for i, v in enumerate(interior)}
@@ -108,6 +96,7 @@ def cheeger_exact(t: Truncation, w: int, max_size: Optional[int] = None) -> Chee
     covered = 0  # |N[chosen]|
     # (|boundary|, |A|, sorted indices of A), starting from {interior[0]}
     best = (len(closed[0]) - 1, 1, (0,))
+    visited = 0
 
     def offer(b: int, members: list[int]) -> None:
         # members has a ratio b / |members| no larger than the best one
@@ -126,8 +115,14 @@ def cheeger_exact(t: Truncation, w: int, max_size: Optional[int] = None) -> Chee
         # more indices. Each is drawn from the bits of ext, which then
         # gains the H-neighbours of the added index above the least member
         # and outside `blocked`, the closed H-neighbourhood of `chosen`;
-        # recursion depth is at most max_size
-        nonlocal covered
+        # recursion depth is at most max_size. Each bit of ext is one set
+        nonlocal covered, visited
+        visited += ext.bit_count()
+        if visited > EXACT_SET_BUDGET:
+            raise InputError(
+                f"the search passed {EXACT_SET_BUDGET} sets; "
+                "lower max_size or use cheeger_family"
+            )
         size = len(chosen) + 1
         if left == 1:
             while ext:
@@ -160,9 +155,13 @@ def cheeger_exact(t: Truncation, w: int, max_size: Optional[int] = None) -> Chee
                 if not cover[v]:
                     covered -= 1
 
-    for root in range(n):
-        # the sets whose least index is root
-        grow(1 << root, 0, -(2 << root), top)
+    try:
+        for root in range(n):
+            # the sets whose least index is root
+            grow(1 << root, 0, -(2 << root), max_size)
+    except RecursionError as exc:
+        raise InputError(f"sets of up to {max_size} vertices nest too deeply; "
+                         "lower max_size or use cheeger_family") from exc
     b, size, indices = best
     return CheegerCertificate(
         best_ratio=Fraction(b, size),

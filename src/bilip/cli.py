@@ -188,6 +188,8 @@ def cmd_ends(args) -> int:
         raise InputError("no checks requested")
     tree, _meta = _load_tree(args.graph)
     es = enumerate_ends(tree)
+    if not 1 <= args.perfect_K <= es.depth:
+        raise InputError(f"--perfect-K must be in 1..{es.depth}")
     results = {}
     ok = True
     for name in wanted:
@@ -230,7 +232,9 @@ def cmd_qi(args) -> int:
     constants = qi_constants(
         mapping, tree_x.graph, tree_y.graph, mode=mode, seed=args.seed, samples=args.samples
     )
-    params = {"from": str(getattr(args, "from")), "to": str(args.to), "mode": mode}
+    samples = args.samples if mode == "sampled" else None
+    params = {"from": str(getattr(args, "from")), "to": str(args.to), "mode": mode,
+              "samples": samples}
     meta = {
         "constants": constants.as_json_dict(),
         "config": _config("qi", args.seed, args.out, params),

@@ -205,27 +205,21 @@ def build_filling(
         total += len(net)
     centers = [idx for net in nets for idx in net]
     levels = [k for k, net in enumerate(nets) for _ in net]
-    adjacency: list[list[int]] = [[] for _ in range(total)]
-
-    def link(a, b):
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-
+    edges: list[tuple[int, int]] = []
     den, nums = _numerators(space.points)
     circle = space.kind == "circle"
     xs = [[nums[idx] for idx in net] for net in nets]  # sorted: nets are in value order
     for k, row in enumerate(xs):
+        a = offsets[k]
         horizontal = math.floor(2 * tau * s**k * den)
         for i, x in enumerate(row):
-            for j in _within(row, x, horizontal, den, circle):
-                if j > i:
-                    link(offsets[k] + i, offsets[k] + j)
+            edges += [(a + i, a + j) for j in _within(row, x, horizontal, den, circle) if j > i]
         if k + 1 <= max_level:
+            b = offsets[k + 1]
             vertical = math.floor(tau * (s**k + s ** (k + 1)) * den)
             for i, x in enumerate(row):
-                for j in _within(xs[k + 1], x, vertical, den, circle):
-                    link(offsets[k] + i, offsets[k + 1] + j)
-    graph = UdbgGraph(adjacency, root=0, levels=levels)  # raises if disconnected
+                edges += [(a + i, b + j) for j in _within(xs[k + 1], x, vertical, den, circle)]
+    graph = UdbgGraph(total, edges, root=0, levels=levels)  # raises if disconnected
     return Filling(
         graph=graph,
         space=space,

@@ -27,12 +27,14 @@ UNREACHED = -1
 
 
 class UdbgGraph:
-    """Connected graph with a recorded degree bound, optional root and levels.
+    """Connected graph on vertices 0..n-1, built from its edge list, with
+    an optional root and levels; mu, the degree bound of bounded
+    geometry, is its maximum degree.
 
-    Invariants enforced at construction: symmetric adjacency, no self
-    loops or parallel edges, connectedness, deg(v) <= mu, and when both
-    root and levels are present, level(root) = 0 with every edge changing
-    level by at most 1.
+    Invariants enforced at construction: every edge joins two distinct
+    vertices in range and is listed once (in either orientation),
+    connectedness, and when both root and levels are present,
+    level(root) = 0 with every edge changing level by at most 1.
     """
 
     __slots__ = ("_adj", "root", "levels", "mu", "_is_tree",
@@ -40,58 +42,49 @@ class UdbgGraph:
 
     def __init__(
         self,
-        adjacency: Sequence[Iterable[int]],
+        n: int,
+        edges: Iterable[Sequence[int]],
         root: Optional[int] = None,
         levels: Optional[Sequence[int]] = None,
-        mu: Optional[int] = None,
     ):
-        adj = tuple(tuple(sorted(set(nbrs))) for nbrs in adjacency)
-        n = len(adj)
-        self._adj = adj
+        if n < 1:
+            raise InputError("graph must have at least one vertex")
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputError(f"edge {u}-{v} has an endpoint outside 0..{n - 1}")
+            if u == v:
+                raise InputError(f"self-loop at vertex {u}")
+            adj[u].append(v)
+            adj[v].append(u)
+        self._adj = adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        # a repeated edge repeats a neighbour, next to itself once sorted;
+        # per-vertex sets keep this check's memory O(mu), not O(edges)
+        for u, nbrs in enumerate(adj):
+            if len(set(nbrs)) < len(nbrs):
+                v = next(x for x, y in zip(nbrs, nbrs[1:]) if x == y)
+                raise InputError(f"repeated edge {u}-{v}")
         self.root = root
         self.levels = tuple(levels) if levels is not None else None
-        max_deg = max((len(a) for a in adj), default=0)
-        self.mu = max_deg if mu is None else mu
+        self.mu = max(map(len, adj))
         self._is_tree: Optional[bool] = None
         self._tree_parent: Optional[list[int]] = None
         self._tree_depth: Optional[list[int]] = None
         self._tree_order: Optional[list[int]] = None
-        self._validate(n, adjacency)
-
-    def _validate(self, n, raw_adjacency):
-        if n == 0:
-            raise InputError("graph must have at least one vertex")
-        for v, nbrs in enumerate(raw_adjacency):
-            seen = set()
-            for u in nbrs:
-                if not 0 <= u < n:
-                    raise InputError(f"neighbor {u} of vertex {v} out of range")
-                if u == v:
-                    raise InputError(f"self-loop at vertex {v}")
-                if u in seen:
-                    raise InputError(f"parallel edge {v}-{u}")
-                seen.add(u)
-        for v in range(n):
-            for u in self._adj[v]:
-                if v not in self._adj[u]:
-                    raise InputError(f"adjacency not symmetric at edge {v}-{u}")
-        if max(len(a) for a in self._adj) > self.mu:
-            raise InputError("degree bound mu exceeded")
-        row = self._bfs((0,))
-        if UNREACHED in row:
+        if UNREACHED in self._bfs((0,)):
             raise InputError("graph is not connected")
-        if self.root is not None:
-            self.check_vertex(self.root)
+        if root is not None:
+            self.check_vertex(root)
         if self.levels is not None:
             if len(self.levels) != n:
                 raise InputError("levels array length mismatch")
             if any(l < 0 for l in self.levels):
                 raise InputError("levels must be nonnegative")
-            if self.root is not None:
-                if self.levels[self.root] != 0:
+            if root is not None:
+                if self.levels[root] != 0:
                     raise InputError("root must have level 0")
                 for v in range(n):
-                    for u in self._adj[v]:
+                    for u in adj[v]:
                         if abs(self.levels[u] - self.levels[v]) > 1:
                             raise InputError(f"edge {v}-{u} jumps more than one level")
 

@@ -195,24 +195,16 @@ def graph_from_dict(d: dict) -> tuple[UdbgGraph, dict]:
         raise InputError("vertex ids must be dense 0..n-1")
     order = sorted(range(n), key=lambda i: ids[i])
     level_by_id = [levels[i] for i in order] if has_levels else None
-    adjacency = [[] for _ in range(n)]
     for edge in d["edges"]:
-        if not isinstance(edge, list) or len(edge) != 2:
+        if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge))):
             raise InputError(f"bad edge entry {edge!r}")
-        u, v = edge
-        if not (_is_int(u) and _is_int(v)):
-            raise InputError(f"bad edge entry {edge!r}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"edge {edge!r} has an endpoint outside 0..{n - 1}")
-        adjacency[u].append(v)
-        adjacency[v].append(u)
     meta = d.get("meta", {})
     if not isinstance(meta, dict):
         raise InputError("graph JSON 'meta' must be an object")
     root = d.get("root")
     if root is not None and not _is_int(root):
         raise InputError(f"bad root {root!r}")
-    g = UdbgGraph(adjacency, root=root, levels=level_by_id)
+    g = UdbgGraph(n, d["edges"], root=root, levels=level_by_id)
     return g, meta
 
 
@@ -223,7 +215,7 @@ def tree_from_graph(g: UdbgGraph) -> RootedTree:
     """
     _, depth, _ = g.tree_arrays()
     if g.levels is None:
-        g = UdbgGraph([g.neighbors(v) for v in g.vertices()], root=g.root, levels=depth)
+        g = UdbgGraph(g.n, g.edges(), root=g.root, levels=depth)
     elif list(g.levels) != depth:
         raise InputError("level labels disagree with distance from the root")
     return RootedTree(Truncation.from_graph(g))

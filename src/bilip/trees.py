@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import ConstructionError, InputError
 from .graph import UNREACHED, Truncation, UdbgGraph
 
 DEFAULT_VERTEX_BUDGET = 500_000
 
-Schedule = Union[Callable[[int], int], Mapping[int, int], Sequence[int], int]
+Schedule = Union[Callable[[int], int], int]
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,6 @@ class RootedTree:
         budget: int = DEFAULT_VERTEX_BUDGET,
     ) -> "RootedTree":
         n = len(parents)
-        if n == 0:
-            raise InputError("tree must have at least one vertex")
         if n > budget:
             raise ConstructionError(f"vertex budget exceeded: {n} > {budget}")
         roots = [v for v in range(n) if parents[v] is None]
@@ -87,33 +85,21 @@ class RootedTree:
             for c in children[v]:
                 levels[c] = levels[v] + 1
                 stack.append(c)
-        if min(levels) < 0:
-            raise InputError("parent array does not describe a connected tree")
-        graph = UdbgGraph(_adjacency(parents), root=root, levels=levels)
+        # the graph rejects a vertex the root does not reach
+        graph = UdbgGraph(n, _edges(parents), root=root, levels=levels)
         return cls(Truncation.from_graph(graph))
 
 
-def _adjacency(parents: Sequence[Optional[int]]) -> list[list[int]]:
-    """Tree edges v - parents[v] as adjacency lists."""
-    adjacency: list[list[int]] = [[] for _ in parents]
-    for v, p in enumerate(parents):
-        if p is not None:
-            adjacency[v].append(p)
-            adjacency[p].append(v)
-    return adjacency
+def _edges(parents: Sequence[Optional[int]]) -> Iterator[tuple[int, int]]:
+    """Tree edges (parents[v], v)."""
+    return ((p, v) for v, p in enumerate(parents) if p is not None)
 
 
 def _normalize_schedule(schedule: Schedule, depth: int) -> list[int]:
     if isinstance(schedule, int):
         values = [schedule] * (depth + 1)
-    elif callable(schedule):
-        values = [schedule(l) for l in range(depth + 1)]
-    elif isinstance(schedule, Mapping):
-        values = [schedule.get(l, 0) for l in range(depth + 1)]
     else:
-        values = list(schedule)
-        if len(values) != depth + 1:
-            raise InputError("schedule sequence must cover levels 0..D")
+        values = [schedule(l) for l in range(depth + 1)]
     if any(not isinstance(v, int) or v < 0 for v in values):
         raise InputError("schedule lengths must be nonnegative integers")
     return values
@@ -346,7 +332,7 @@ def complete_core(t: RootedTree) -> CoreResult:
         retraction[v] = i
     parents = [None if v == root else retraction[parent[v]] for v in keep]
     levels = [t.level(v) for v in keep]
-    graph = UdbgGraph(_adjacency(parents), root=retraction[root], levels=levels)
+    graph = UdbgGraph(len(keep), _edges(parents), root=retraction[root], levels=levels)
     core = RootedTree(Truncation.from_graph(graph))
     for v in order:  # the root is in the core, and parents come first
         if retraction[v] == UNREACHED:

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from bilip import cheeger
 from bilip.cheeger import (
     BALL_CENTERS,
     cheeger_exact,
@@ -120,11 +121,7 @@ def oracle_truncations():
     # a level graph with chords in which (4, 5, 8) and (4, 6, 8) tie on
     # ratio and size at collar 0: only the vertex tuple decides
     edges = [(0, 1), (0, 2), (0, 5), (0, 8), (1, 3), (2, 3), (2, 4), (2, 6), (3, 7), (4, 8)]
-    adjacency = [[] for _ in range(9)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    yield Truncation.from_graph(UdbgGraph(adjacency, root=0, levels=[0, 1, 1, 2, 2, 1, 2, 3, 1]))
+    yield Truncation.from_graph(UdbgGraph(9, edges, root=0, levels=[0, 1, 1, 2, 2, 1, 2, 3, 1]))
     for _ in range(190):
         n = rng.randint(5, 11)
         yield RootedTree.from_parents([None] + [rng.randrange(v) for v in range(1, n)]).trunc
@@ -156,12 +153,20 @@ def test_exact_matches_all_subsets_on_small_truncations():
     assert disconnected >= 5
 
 
-def test_exact_budget_guards():
+def test_exact_budget_guards(monkeypatch):
     t = gen_kary(2, 6)
-    with pytest.raises(InputError, match="cheeger_family"):
-        cheeger_exact(t.trunc, 1)
     with pytest.raises(InputError):
         cheeger_exact(t.trunc, 1, max_size=0)
+    # a single ray's sets grow one vertex per recursion level
+    with pytest.raises(InputError, match="nest too deeply"):
+        cheeger_exact(gen_path(1500).trunc, 1)
+    # the 4,072 sets connected at distance 2 of the k2d6 pin, not the
+    # 206,367 subsets of its interior, count against the budget
+    monkeypatch.setattr(cheeger, "EXACT_SET_BUDGET", 4_071)
+    with pytest.raises(InputError, match="passed 4071 sets"):
+        cheeger_exact(t.trunc, 1, max_size=5)
+    monkeypatch.setattr(cheeger, "EXACT_SET_BUDGET", 4_072)
+    assert cheeger_exact(t.trunc, 1, max_size=5).best_ratio == Fraction(6, 5)
 
 
 def test_family_root_balls_closed_form():
@@ -212,7 +217,7 @@ def test_family_balls_match_ball_loop():
         Truncation.from_graph(cantor.graph),  # not a tree
         # levels 0, 1, 2, 3, 2 along a path: from vertex 4 the first layer
         # is the truncation sphere and the second is interior again
-        Truncation.from_graph(UdbgGraph([[1], [0, 2], [1, 3], [2, 4], [3]], root=0,
+        Truncation.from_graph(UdbgGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)], root=0,
                                         levels=[0, 1, 2, 3, 2])),
     ]
     for trunc in truncations:

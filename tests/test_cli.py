@@ -8,7 +8,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bilip import jsonio
+from bilip import cheeger, jsonio
 from bilip.cli import main
 from bilip.ends import enumerate_ends
 from bilip.filling import build_filling, make_space
@@ -406,6 +406,41 @@ def test_malformed_graph_json_is_input_error(tmp_path, capsys):
         assert err.startswith("error: malformed JSON in ") and "Traceback" not in err, name
 
 
+def test_ends_rejects_a_perfect_K_outside_the_depth_whatever_the_checks(tmp_path, capsys):
+    tree = gen_tree(tmp_path, "t.json", "--kind", "kary", "--k", "2", "--depth", "3")
+    for K in ("-1", "0", "4", str(10**30)):
+        assert run("ends", "--graph", str(tree), "--check", "ultrametric", "--perfect-K", K) == 2
+        assert capsys.readouterr().err == "error: --perfect-K must be in 1..3\n"
+    assert run("ends", "--graph", str(tree), "--check", "ultrametric", "--perfect-K", "3") == 0
+    capsys.readouterr()
+
+
+def test_qi_config_records_samples_in_sampled_mode_only(tmp_path, capsys):
+    small = gen_tree(tmp_path, "k2d3.json", "--kind", "kary", "--k", "2", "--depth", "3")
+    big = gen_tree(tmp_path, "k2d8.json", "--kind", "kary", "--k", "2", "--depth", "8")
+    for tree, samples, recorded in ((small, "20", None), (big, "20", 20), (big, "30", 30)):
+        out = tmp_path / "qi.json"
+        assert run("qi", "--from", str(tree), "--to", str(tree), "--samples", samples,
+                   "--out", str(out)) == 0
+        config = json.loads(out.read_text())["meta"]["config"]["stages"]["analyze"]
+        assert config["mode"] == ("exact" if recorded is None else "sampled")
+        assert config["samples"] == recorded
+    capsys.readouterr()
+
+
+def test_exact_cheeger_budget_counts_visited_sets(tmp_path, monkeypatch, capsys):
+    # 75.6M subsets of 2-ary d7's 63-vertex interior have at most 6
+    # vertices, but the search visits 53,349 sets; 3-ary d6 at 5 visits 98,967
+    for k, depth, top, ratio in (("2", "7", "6", "7/6"), ("3", "6", "5", "11/5")):
+        tree = gen_tree(tmp_path, "t.json", "--kind", "kary", "--k", k, "--depth", depth)
+        assert run("cheeger", "--graph", str(tree), "--exact-max", top) == 0
+        assert capsys.readouterr().err == f"best ratio {ratio} over exact\n"
+    monkeypatch.setattr(cheeger, "EXACT_SET_BUDGET", 98_966)
+    assert run("cheeger", "--graph", str(tree), "--exact-max", "5") == 2
+    assert capsys.readouterr().err == (
+        "error: the search passed 98966 sets; lower max_size or use cheeger_family\n")
+
+
 def test_construction_budget_error_exit_code(tmp_path, capsys):
     out = tmp_path / "t.json"
     assert run("gen-tree", "--kind", "kary", "--k", "3", "--depth", "30", "--out", str(out)) == 2
@@ -436,9 +471,10 @@ PINNED_REPORTS = (
     # depth-0 targets is exercised
     ("promote --from x.json --to y.json --map ends --collar 2 --seed 0 --out p.json",
      "b4cea9ab4615051fe135c4c7214c1d4afef58fde23abaf6f249a9e1f5b8b391e"),
-    # sampled qi_constants: 1,093 and 1,365 vertices are above the exact limit
+    # sampled qi_constants: 1,093 and 1,365 vertices are above the exact
+    # limit; the config records the 5,000 samples
     ("qi --from x.json --to y.json --samples 5000 --out qi.json",
-     "2c6319904f20c8d0b36666260b611e98ca3ed2d7e4d52279a44f6c5d914b4941"),
+     "cb89e667d80056719e8633c6c01b33c4a17460e434868d7c806aee624386e1f1"),
     # 81 rays: ultrametric by identity, doubling and disconnection checks
     # over the agreement hierarchy
     ("ends --graph k3d4.json --out ends.json",
@@ -462,7 +498,7 @@ PINNED_REPORTS = (
      "5431ec99c75b55e4724d8a825c08bdb4962e95a6280c03b8fbbad48663dcafcc"),
     # sampled c_mult and d_add from one pass over 50,000 pairs
     ("qi --from k3d7.json --to k4d6.json --out qi7.json",
-     "aa5aed69409b0858c9e61f1f5c9a9249994dbfb6670bce3f22dd41485bc60de8"),
+     "9a0a7df738ed04536bff4841cdd900e45e829e42b2ebad9be5e7bb02e5c5d59b"),
     # ball families grown once per centre
     ("verify --from k3d7.json --to k4d6.json --collar 1 "
      "--families balls,level-bands,descendant-subtrees,random-connected --out v.json",
@@ -493,12 +529,12 @@ PINNED_REPORTS = (
      "--families balls,level-bands,descendant-subtrees,random-connected --out cg.json",
      "e31b6b632afe2bd0fd422724fb883f29499e050c1e643dd6ea80a36cb66e3beb"),
     # exact qi_constants: 364 and 341 vertices, every pair from one BFS row
-    # per source on each side
+    # per source on each side; the config records samples as null
     ("qi --from k3d5.json --to k4d4.json --out qe.json",
-     "95f769b0e4ad7fef50ad380d729a5c7e49ad372f0d3d1026e8a3ba50ec34337f"),
+     "8e8e854d22f9587e5224fad3751abb1742b50b08dfa7b824acbdd896bd0686ad"),
     # the end map onto g.json retracts its dead ends onto the core
     ("qi --from pr.json --to g.json --out qg.json",
-     "e76f0ea7ee28e3d3bbac4600ed0e98cec2f1f0616ef750bec3b04caa6b62ffed"),
+     "f7fc27625207d30561dd0044ad84ef0d948c32b9435cd8ef101325a7ebd00c8b"),
     # a 63-vertex cantor13 bijection: L = 2 measured off trees
     ("promote --from c6a.json --to c6b.json --map nearest-center --collar 1 --out pc6.json",
      "8f7cf0429aa61241d40dc32b4986eb1304d7f9f8314f117cae1780b5a11660db"),

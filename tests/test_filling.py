@@ -278,17 +278,11 @@ def test_filling_sanity_matches_per_vertex_rows():
     rng = random.Random(3)
     for _ in range(60):
         n = rng.randint(2, 40)
-        adj = [set() for _ in range(n)]
-        for v in range(1, n):
-            u = rng.randrange(v)
-            adj[u].add(v)
-            adj[v].add(u)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
         for _ in range(n // 2):
-            u, v = rng.sample(range(n), 2)
-            adj[u].add(v)
-            adj[v].add(u)
-        g = UdbgGraph(adj, root=0)
-        g = UdbgGraph(adj, root=0, levels=g.bfs_row(0))
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        g = UdbgGraph(n, edges, root=0)
+        g = UdbgGraph(n, edges, root=0, levels=g.bfs_row(0))
         f = Filling(g, make_space("interval", n), HALF, Fraction(1), tuple(range(n)), seed=0)
         assert filling_sanity(f)["visual_constant"] == oracle_visual_constant(f)
 

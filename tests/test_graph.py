@@ -54,7 +54,7 @@ def test_distance_matches_naive_bfs_and_metric_axioms():
 def test_tree_walk_agrees_with_bfs_path():
     t = gen_kary(3, 4)
     g = t.graph
-    plain = UdbgGraph([g.neighbors(v) for v in g.vertices()])  # no root: BFS path
+    plain = UdbgGraph(g.n, g.edges())  # no root: BFS path
     rng = random.Random(1)
     for _ in range(100):
         u = rng.randrange(g.n)
@@ -100,19 +100,24 @@ def test_boundary_properties():
 
 
 def test_construction_validation():
+    for n, edges, message in (
+        (0, [], "at least one vertex"),
+        (2, [(0, 1), (0, 1)], "repeated edge 0-1"),
+        (2, [(0, 1), (1, 0)], "repeated edge 0-1"),
+        (3, [(0, 1), (1, 2), (2, 2)], "self-loop at vertex 2"),
+        (2, [(0, 2)], "outside 0..1"),
+        (2, [(-1, 1)], "outside 0..1"),
+        (4, [(0, 1), (2, 3)], "not connected"),
+    ):
+        with pytest.raises(InputError, match=message):
+            UdbgGraph(n, edges)
     with pytest.raises(InputError):
-        UdbgGraph([[1], []])  # asymmetric
+        UdbgGraph(2, [(0, 1)], root=0, levels=[1, 2])  # root level must be 0
     with pytest.raises(InputError):
-        UdbgGraph([[0]])  # self loop
-    with pytest.raises(InputError):
-        UdbgGraph([[1], [0], [3], [2]])  # disconnected
-    with pytest.raises(InputError):
-        UdbgGraph([[1], [0]], root=0, levels=[1, 2])  # root level must be 0
-    with pytest.raises(InputError):
-        UdbgGraph([[1], [0], [0, 1]][:2] + [[]], root=0, levels=[0, 1])
+        UdbgGraph(3, [(0, 1)], root=0, levels=[0, 1])  # vertex 2 is isolated
     # level jump across an edge
     with pytest.raises(InputError):
-        UdbgGraph([[1], [0, 2], [1]], root=0, levels=[0, 1, 3])
+        UdbgGraph(3, [(0, 1), (1, 2)], root=0, levels=[0, 1, 3])
     with pytest.raises(InputError):
         gen_kary(2, 3).graph.distance(0, 99)
 
@@ -147,7 +152,9 @@ def random_connected_graph(rng, n, mu):
         if u != v and len(adj[u]) < mu and len(adj[v]) < mu:
             adj[u].add(v)
             adj[v].add(u)
-    return UdbgGraph(adj, mu=mu)
+    g = UdbgGraph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+    assert g.mu <= mu
+    return g
 
 
 def kernel_instances():
@@ -155,6 +162,19 @@ def kernel_instances():
     graphs = [random_connected_graph(rng, rng.randint(2, 40), rng.randint(2, 4)) for _ in range(30)]
     graphs.append(graft_dead_ends(gen_kary(2, 4), 2, seed=5).graph)  # rooted tree, levels
     return rng, graphs
+
+
+def test_edge_order_and_orientation_do_not_matter():
+    rng, graphs = kernel_instances()
+    for g in graphs:
+        edges = list(g.edges())
+        for _ in range(3):
+            rng.shuffle(edges)
+            flipped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+            h = UdbgGraph(g.n, flipped, root=g.root, levels=g.levels)
+            assert list(h.edges()) == list(g.edges())
+            assert [h.neighbors(v) for v in h.vertices()] == [g.neighbors(v) for v in g.vertices()]
+            assert h.mu == g.mu == max(map(g.degree, g.vertices()))
 
 
 def test_bounded_queries_match_full_rows():
@@ -202,7 +222,7 @@ def test_distances_match_independent_rows():
 
 def test_non_tree_distance_stops_at_the_target_layer(monkeypatch):
     n = 400
-    cycle = UdbgGraph([[(v - 1) % n, (v + 1) % n] for v in range(n)])
+    cycle = UdbgGraph(n, [(v, (v + 1) % n) for v in range(n)])
     taken = []
     layers = UdbgGraph.bfs_layers
 

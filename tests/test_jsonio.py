@@ -58,6 +58,8 @@ def test_graph_from_dict_validation():
         {"vertices": two, "edges": [[0, 5]]},
         {"vertices": two, "edges": [[-1, 1]]},
         {"vertices": two, "edges": [[0, True]]},
+        {"vertices": two, "edges": [[0, 1], [1, 0]]},
+        {"vertices": two, "edges": [[1, 1]]},
         {"vertices": [{"id": 0}, {"id": "a"}], "edges": [[0, 1]]},
         {"vertices": [{"id": 0, "level": 0}, {"id": 1, "level": 0.5}], "edges": [[0, 1]]},
         {"vertices": 2, "edges": [[0, 1]]},

@@ -202,10 +202,10 @@ def test_distortion_stream_meets_the_reference_values():
     tree = gen_kary(2, 2).graph
     graphs = [
         tree,
-        UdbgGraph([tree.neighbors(v) for v in tree.vertices()]),  # same tree, no root
+        UdbgGraph(tree.n, tree.edges()),  # same tree, no root
         gen_path(4).graph,
-        UdbgGraph([[(v - 1) % 5, (v + 1) % 5] for v in range(5)]),  # a cycle
-        UdbgGraph([[1, 2, 3], [0, 2], [0, 1, 3], [0, 2]]),
+        UdbgGraph(5, [(v, (v + 1) % 5) for v in range(5)]),  # a cycle
+        UdbgGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]),
     ]
     rng = random.Random(5)
     for trial in range(150):
@@ -239,7 +239,7 @@ def random_chorded_graph(n, chords, seed, root=None):
             adj[u].add(v)
             adj[v].add(u)
             chords -= 1
-    return UdbgGraph(adj, root=root)
+    return UdbgGraph(n, [(u, v) for u in range(n) for v in adj[u] if u < v], root=root)
 
 
 def random_injection(rng, g_x, g_y, size, skip_roots):
@@ -319,7 +319,7 @@ def test_bilipschitz_constant_matches_the_exact_kernel_off_trees():
     fillings = [f.graph for f in fills]
     k2 = gen_kary(2, 4).graph
     others = fillings + [
-        UdbgGraph([k2.neighbors(v) for v in k2.vertices()]),  # unrooted copy
+        UdbgGraph(k2.n, k2.edges()),  # unrooted copy
         random_chorded_graph(40, 0, seed=3),  # unrooted random tree
         random_chorded_graph(30, 6, seed=5),
         random_chorded_graph(60, 25, seed=6, root=0),  # rooted, not a tree
@@ -369,7 +369,7 @@ def test_sampled_distortion_needs_a_sample():
 def test_distortion_rejects_unknown_ids():
     t = gen_kary(2, 4)
     # the rooted tree walks image distances, its unrooted copy searches them
-    unrooted = UdbgGraph([t.graph.neighbors(v) for v in t.graph.vertices()])
+    unrooted = UdbgGraph(t.n, t.graph.edges())
     for bad in ({**{v: v for v in range(t.n)}, 3: t.n}, {**{v: v for v in range(1, t.n)}, -1: 0}):
         for g in (t.graph, unrooted):
             with pytest.raises(InputError, match="unknown vertex id"):

@@ -217,9 +217,9 @@ def test_tree_arrays_is_the_ascending_preorder():
 
 
 def test_tree_arrays_needs_a_rooted_tree():
-    triangle = UdbgGraph([[1, 2], [0, 2], [0, 1]], root=0)
+    triangle = UdbgGraph(3, [(0, 1), (0, 2), (1, 2)], root=0)
     tree = gen_kary(2, 3).graph
-    unrooted = UdbgGraph([tree.neighbors(v) for v in tree.vertices()])
+    unrooted = UdbgGraph(tree.n, tree.edges())
     for g in (triangle, unrooted):
         with pytest.raises(InputError, match="not a rooted tree"):
             g.tree_arrays()

@@ -206,5 +206,12 @@ def test_from_parents_validation():
         RootedTree.from_parents([None, None])
     with pytest.raises(InputError):
         RootedTree.from_parents([None, 0, 99])
+    # parent cycles the root does not reach
+    with pytest.raises(InputError, match="repeated edge"):
+        RootedTree.from_parents([None, 2, 1])
+    with pytest.raises(InputError, match="not connected"):
+        RootedTree.from_parents([None, 0, 4, 2, 3])
+    with pytest.raises(InputError, match="self-loop"):
+        RootedTree.from_parents([None, 1])
     with pytest.raises(ConstructionError):
         RootedTree.from_parents([None] + list(range(50)), budget=10)
