@@ -7,12 +7,11 @@ them), so no floats appear anywhere.
 
 Rays are enumerated in planar (DFS) order. In that order the agreement
 depth of any pair equals the minimum over consecutive pairs between them,
-which is what lets large spaces carry the full table implicitly: an end
-space stores only the consecutive depths, read off the tree's cached
-preorder, and no ray as a vertex path. A range
-minimum is an ultrametric by identity, so ray-built spaces need no check;
-verify_ultrametric checks hand-built tables (EndSpace.from_table) exactly
-in O(n^2), through the leaf order of their single-linkage dendrogram.
+so an end space is its consecutive depths alone, read off the tree's
+cached preorder, and no ray is stored as a vertex path. A range minimum
+is an ultrametric by identity, so an end space needs no check;
+verify_ultrametric checks hand-built tables exactly in O(n^2), through
+the leaf order of their single-linkage dendrogram.
 """
 
 from __future__ import annotations
@@ -64,74 +63,24 @@ class EndSpace:
 
     The table is stored as the consecutive-pair array `adjacent`; arbitrary
     entries are range minima over it. (F|F) is carried as the sentinel
-    `depth`. Hand-built tables (for adversarial fixtures) can be supplied
-    via from_table; structure-based checks then demand planar consistency.
+    `depth`.
     """
 
     depth: int
     mu: int
-    adjacent: Optional[tuple[int, ...]]
-    explicit: Optional[tuple[tuple[int, ...], ...]] = None
-
-    @classmethod
-    def from_table(cls, table, depth: int, mu: int) -> "EndSpace":
-        n = len(table)
-        if not n:
-            raise InputError("an end space has at least one ray")
-        for i in range(n):
-            if len(table[i]) != n:
-                raise InputError("agreement table must be square")
-            if table[i][i] != depth:
-                raise InputError("diagonal must carry the depth sentinel")
-            for j in range(n):
-                if table[i][j] != table[j][i]:
-                    raise InputError("agreement table must be symmetric")
-                if i != j and not 0 <= table[i][j] < depth:
-                    raise InputError("off-diagonal entries must lie in 0..depth-1")
-        return cls(
-            depth=depth,
-            mu=mu,
-            adjacent=None,
-            explicit=tuple(tuple(row) for row in table),
-        )
+    adjacent: tuple[int, ...]
 
     @property
     def n(self) -> int:
-        if self.explicit is not None:
-            return len(self.explicit)
         return len(self.adjacent) + 1
-
-    def product(self, i: int, j: int) -> int:
-        """Agreement depth of rays i and j; equals depth iff i == j."""
-        n = self.n
-        if not (0 <= i < n and 0 <= j < n):
-            raise InputError(f"ray index out of range: {(i, j)}")
-        if self.explicit is not None:
-            return self.explicit[i][j]
-        if i == j:
-            return self.depth
-        return min(self.adjacent[min(i, j) : max(i, j)])
 
     def rows(self):
         """The full symmetric table, one row at a time."""
-        if self.explicit is not None:
-            return map(list, self.explicit)
         return _planar_rows(self.adjacent, self.depth)
 
     def table(self) -> list[list[int]]:
         """Materialize the full symmetric table (small spaces only)."""
         return list(self.rows())
-
-    def consistent_adjacent(self) -> tuple[int, ...]:
-        """Consecutive-pair array, validating planar consistency for explicit tables."""
-        if self.explicit is None:
-            return self.adjacent
-        n = len(self.explicit)
-        adj = tuple(self.explicit[i][i + 1] for i in range(n - 1))
-        if _first_mismatch(self.explicit, range(n), adj, self.depth) is not None:
-            raise InputError("table is not consistent with planar ray order; reorder the "
-                             "rays first (an ultrametric is planar in Prim's tree order)")
-        return adj
 
 
 def _planar_rows(adjacent, depth: int):
@@ -183,22 +132,36 @@ def enumerate_ends(t: RootedTree) -> EndSpace:
 # -- metric checks ---------------------------------------------------------
 
 
-def verify_ultrametric(es: EndSpace) -> CheckResult:
-    """m(F,H) >= min(m(F,G), m(G,H)) over all triples, exactly, in O(n^2).
+def verify_ultrametric(table, depth: int) -> CheckResult:
+    """m(F,H) >= min(m(F,G), m(G,H)) over all triples of a hand-built
+    agreement table with sentinel `depth`, exactly, in O(n^2).
 
-    Ray-built spaces pass by identity: there m(i, k) is the minimum of
+    An end space needs no call: there m(i, k) is the minimum of
     adjacent[i..k), so for i < j < k, m(i, k) = min(m(i, j), m(j, k)).
-    A hand-built table (from_table) is an ultrametric exactly when it is
-    planar-consistent in the order in which Prim's maximum spanning tree
-    visits its rays, with the weights at which they joined as levels
-    (single linkage; Gower-Ross 1969). At the first mismatch (i, j) the
-    entry lies below every level between i and j, so in the witness
-    (i, tree parent of j, j) m(i, j) is the only minimum.
+    A table is an ultrametric exactly when it is planar-consistent in the
+    order in which Prim's maximum spanning tree visits its rays, with the
+    weights at which they joined as levels (single linkage; Gower-Ross
+    1969). At the first mismatch (i, j) the entry lies below every level
+    between i and j, so in the witness (i, tree parent of j, j) m(i, j)
+    is the only minimum.
     """
-    if es.explicit is None or es.n < 3:
+    n = len(table)
+    if not n:
+        raise InputError("an end space has at least one ray")
+    if any(len(row) != n for row in table):
+        raise InputError("agreement table must be square")
+    for i in range(n):
+        if table[i][i] != depth:
+            raise InputError("diagonal must carry the depth sentinel")
+        for j in range(i + 1, n):
+            if table[i][j] != table[j][i]:
+                raise InputError("agreement table must be symmetric")
+            if not 0 <= table[i][j] < depth:
+                raise InputError("off-diagonal entries must lie in 0..depth-1")
+    if n < 3:
         return CheckResult(True)
-    order, joined, parent = _prim_order(es.explicit)
-    bad = _first_mismatch(es.explicit, order, joined, es.depth)
+    order, joined, parent = _prim_order(table)
+    bad = _first_mismatch(table, order, joined, depth)
     if bad is None:
         return CheckResult(True)
     i, j = bad
@@ -269,8 +232,6 @@ def doubling_check(es: EndSpace) -> tuple[bool, int]:
     is a run and a ball's group count is one more than its cuts below
     `step`. Returns (all counts within mu^2, max count observed).
     """
-    if es.explicit is not None:
-        raise InputError("doubling check needs rays, not just a table")
     if es.depth < 3:
         raise InputError("doubling check needs depth >= 3")
     adjacent = es.adjacent
@@ -295,7 +256,7 @@ def perfectness_check(es: EndSpace, K: int) -> CheckResult:
     depth = es.depth
     if n == 1:
         return CheckResult(False, witness=(0, 0))
-    adjacent = es.consistent_adjacent()
+    adjacent = es.adjacent
     # The depths present for ray i are the running minima of adjacent to
     # its right (from i) and to its left (from i - 1): chains of next
     # strictly smaller entries, each at most depth long.
@@ -344,7 +305,7 @@ def disconnection_check(es: EndSpace) -> CheckResult:
     n = es.n
     if n == 1:
         return CheckResult(True)
-    adjacent = es.consistent_adjacent()
+    adjacent = es.adjacent
     for lo, hi, _m, parent_level in _hierarchy(adjacent, n):
         if parent_level < 0:
             continue  # whole space: threshold 0 admits no cross pairs

@@ -334,15 +334,6 @@ class Truncation:
         sphere = frozenset(v for v in g.vertices() if g.levels[v] == depth)
         return cls(graph=g, depth=depth, trunc_sphere=sphere)
 
-    def __post_init__(self):
-        if not self.trunc_sphere:
-            raise InputError("truncation sphere is empty")
-        levels = self.graph.levels
-        if levels is not None:
-            expected = frozenset(v for v in self.graph.vertices() if levels[v] == self.depth)
-            if expected != self.trunc_sphere:
-                raise InputError("truncation sphere does not match level labels")
-
     def interior(self, w: int) -> frozenset[int]:
         """Vertices at distance > w from the truncation sphere."""
         if w < 0:

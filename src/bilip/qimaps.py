@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
-from .ends import EndSpace, leaf_intervals, split_at_minimum
+from .ends import EndSpace, enumerate_ends, leaf_intervals, split_at_minimum
 from .graph import UNREACHED, UdbgGraph
-from .trees import RootedTree
+from .trees import RootedTree, complete_core
 
 Interval = tuple[int, int]  # half-open
 
@@ -76,8 +76,6 @@ def hierarchical_end_map(es_a: EndSpace, es_b: EndSpace) -> EndMap:
     Expects end spaces of regularly branching trees (run perfectness_check
     first if in doubt); any valid planar end space is accepted.
     """
-    adj_a = es_a.consistent_adjacent()
-    adj_b = es_b.consistent_adjacent()
     na, nb = es_a.n, es_b.n
     leaves: list[tuple[Interval, Interval]] = []
     stack: list[tuple[Interval, Interval]] = [((0, na), (0, nb))]
@@ -86,8 +84,8 @@ def hierarchical_end_map(es_a: EndSpace, es_b: EndSpace) -> EndMap:
         if ahi - alo == 1 or bhi - blo == 1:
             leaves.append(((alo, ahi), (blo, bhi)))
             continue
-        _, parts_a = split_at_minimum(adj_a, alo, ahi)
-        _, parts_b = split_at_minimum(adj_b, blo, bhi)
+        _, parts_a = split_at_minimum(es_a.adjacent, alo, ahi)
+        _, parts_b = split_at_minimum(es_b.adjacent, blo, bhi)
         g = min(len(parts_a), len(parts_b))
         groups_a = _group(parts_a, g)
         groups_b = _group(parts_b, g)
@@ -147,9 +145,6 @@ def tree_vertex_map(tree_t: RootedTree, tree_u: RootedTree) -> dict[int, int]:
     Cores are matched through their end spaces; vertices off the core ride
     along their retraction. Complete trees pass through unchanged.
     """
-    from .ends import enumerate_ends
-    from .trees import complete_core
-
     core_t = complete_core(tree_t)
     core_u = complete_core(tree_u)
     em = hierarchical_end_map(enumerate_ends(core_t.core), enumerate_ends(core_u.core))

@@ -54,9 +54,10 @@ def test_enumerate_counts_and_shapes():
     es9 = enumerate_ends(t)
     assert es9.n == 9
     rays = tree_facts(t).rays
+    table = es9.table()
     for i, j in itertools.combinations(range(9), 2):
         if rays[i][1] != rays[j][1]:
-            assert es9.product(i, j) == 0
+            assert table[i][j] == 0
 
 
 def test_enumerate_rejects_incomplete_trees():
@@ -68,38 +69,39 @@ def test_enumerate_rejects_incomplete_trees():
 def test_products_match_lca_oracle():
     for tree in (gen_kary(2, 5), complete_core(graft_dead_ends(gen_kary(2, 5), 2, 3)).core):
         es = enumerate_ends(tree)
+        table = es.table()
         leaves = [r[-1] for r in tree_facts(tree).rays]
         rng = random.Random(0)
         for _ in range(300):
             i = rng.randrange(es.n)
             j = rng.randrange(es.n)
             if i == j:
-                assert es.product(i, j) == es.depth
+                assert table[i][j] == es.depth
             else:
-                assert es.product(i, j) == lca_depth_oracle(tree, leaves[i], leaves[j])
+                assert table[i][j] == lca_depth_oracle(tree, leaves[i], leaves[j])
 
 
 def test_table_matches_products():
-    es = enumerate_ends(gen_kary(2, 4))
-    table = es.table()
-    for i in range(es.n):
-        for j in range(es.n):
-            assert table[i][j] == es.product(i, j)
+    # the product of rays i and j is the running minimum of adjacent between them
+    for tree in (gen_kary(2, 4), gen_random_pseudo_regular(2, 2, 5, 4)):
+        es = enumerate_ends(tree)
+        assert es.table() == table_from_adjacent(es.adjacent, es.depth)
 
 
 def test_end_distance_trivia():
     t = gen_kary(2, 3)
     es = enumerate_ends(t)
     rays = tree_facts(t).rays
-    assert es.product(3, 3) == 3  # the depth sentinel: distance zero
-    assert es.product(0, es.n - 1) == 0  # split at the root: maximal
+    table = es.table()
+    assert table[3][3] == 3  # the depth sentinel: distance zero
+    assert table[0][es.n - 1] == 0  # split at the root: maximal
     # rays sharing exactly the level-1 vertex
     pairs = [
         (i, j)
         for i, j in itertools.combinations(range(es.n), 2)
         if rays[i][1] == rays[j][1] and rays[i][2] != rays[j][2]
     ]
-    assert pairs and all(es.product(i, j) == 1 for i, j in pairs)
+    assert pairs and all(table[i][j] == 1 for i, j in pairs)
 
 
 def test_leaf_intervals_count_descendant_leaves():
@@ -134,29 +136,27 @@ def violates(table, witness):
 
 
 def test_ultrametric_passes_on_tree_ends():
-    assert verify_ultrametric(enumerate_ends(gen_kary(2, 6))).passed
-    assert verify_ultrametric(enumerate_ends(gen_kary(3, 4))).passed
-    assert verify_ultrametric(enumerate_ends(gen_path(4))).passed
+    for t in (gen_kary(2, 6), gen_kary(3, 4), gen_path(4)):
+        es = enumerate_ends(t)
+        assert verify_ultrametric(es.table(), es.depth).passed
 
 
 def test_ray_built_spaces_are_ultrametric_by_identity():
-    # ray-built spaces pass without a check; the same table, handed in as
-    # an explicit one, must pass the check that hand-built tables get
+    # an end space's table, checked as a hand-built one, passes the check
+    # and the brute-force scan
     trees = (gen_kary(2, 5), gen_kary(3, 3), gen_random_pseudo_regular(4, 2, 6, 4),
              complete_core(graft_dead_ends(gen_kary(2, 5), 2, 3)).core)
     for t in trees:
         es = enumerate_ends(t)
-        assert verify_ultrametric(es).passed
-        explicit = EndSpace.from_table(es.table(), es.depth, es.mu)
-        assert verify_ultrametric(explicit).passed
-        assert triple_scan_oracle(explicit.table()) is None
+        table = es.table()
+        assert verify_ultrametric(table, es.depth).passed
+        assert triple_scan_oracle(table) is None
 
 
 def test_ultrametric_adversarial_table_fails():
     d = 4
     bad = [[d, 3, 1], [3, d, 3], [1, 3, d]]
-    es = EndSpace.from_table(bad, d, 3)
-    res = verify_ultrametric(es)
+    res = verify_ultrametric(bad, d)
     assert not res.passed
     assert violates(bad, res.witness)
     assert triple_scan_oracle(bad) == (0, 1, 2)
@@ -196,7 +196,7 @@ def test_ultrametric_matches_triple_scan_oracle():
         cases.append(shuffled_tree_table(random.Random(perturb), gen_kary(2, 8), perturb))
     outcomes = []
     for table, depth in cases:
-        res = verify_ultrametric(EndSpace.from_table(table, depth, 3))
+        res = verify_ultrametric(table, depth)
         assert res.passed == (triple_scan_oracle(table) is None)
         assert res.passed == (res.witness is None)
         if not res.passed:
@@ -205,29 +205,27 @@ def test_ultrametric_matches_triple_scan_oracle():
     assert set(outcomes) == {(False, True), (False, False), (True, True), (True, False)}
 
 
-def test_from_table_validation():
-    with pytest.raises(InputError):
-        EndSpace.from_table([[4, 1], [2, 4]], 4, 3)  # asymmetric
-    with pytest.raises(InputError):
-        EndSpace.from_table([[3, 1], [1, 4]], 4, 3)  # diagonal sentinel
-    with pytest.raises(InputError):
-        EndSpace.from_table([[4, 9], [9, 4]], 4, 3)  # out of range
-    with pytest.raises(InputError):
-        EndSpace.from_table([[4, 1]], 4, 3)  # not square
-    # no rays: the hierarchy checks split at a minimum, which needs one
+def test_ultrametric_table_validation():
+    with pytest.raises(InputError, match="symmetric"):
+        verify_ultrametric([[4, 1], [2, 4]], 4)
+    with pytest.raises(InputError, match="diagonal"):
+        verify_ultrametric([[3, 1], [1, 4]], 4)
+    with pytest.raises(InputError, match="0..depth-1"):
+        verify_ultrametric([[4, 9], [9, 4]], 4)
+    with pytest.raises(InputError, match="square"):
+        verify_ultrametric([[4, 1]], 4)
+    with pytest.raises(InputError, match="square"):
+        verify_ultrametric([[4, 1], []], 4)  # checked before any entry is read
     with pytest.raises(InputError, match="at least one ray"):
-        EndSpace.from_table([], 4, 3)
+        verify_ultrametric([], 4)
 
 
-def test_consistent_adjacent_rejects_shuffled_tables():
+def test_ultrametric_passes_shuffled_tables():
     es = enumerate_ends(gen_kary(2, 3))
     table = es.table()
-    order = [0, 4, 1, 5, 2, 6, 3, 7]  # valid ultrametric, wrong ray order
+    order = [0, 4, 1, 5, 2, 6, 3, 7]  # valid ultrametric, not in planar order
     shuffled = [[table[a][b] for b in order] for a in order]
-    es2 = EndSpace.from_table(shuffled, es.depth, es.mu)
-    assert verify_ultrametric(es2).passed
-    with pytest.raises(InputError, match="planar"):
-        es2.consistent_adjacent()
+    assert verify_ultrametric(shuffled, es.depth).passed
 
 
 def doubling_oracle(es, rays):
@@ -253,8 +251,6 @@ def test_doubling_binary_matches_oracle():
     assert passed
     assert observed <= es.mu**2 == 9
     assert observed == doubling_oracle(es, tree_facts(t).rays) == 4
-    with pytest.raises(InputError, match="needs rays"):
-        doubling_check(EndSpace.from_table(es.table(), es.depth, es.mu))
 
 
 def test_doubling_ternary_and_single_ray():
@@ -308,7 +304,7 @@ def quadratic_perfectness(es, K):
     n, depth = es.n, es.depth
     if n == 1:
         return (False, (0, 0))
-    adjacent = es.consistent_adjacent()
+    adjacent = es.adjacent
     for i in range(n):
         present = [False] * depth
         running = depth
@@ -349,7 +345,7 @@ def test_perfectness_matches_quadratic_scan():
     for _ in range(40):  # random planar tables: most fail, witnesses vary
         depth = rng.randint(2, 7)
         adjacent = [rng.randrange(depth) for _ in range(rng.randint(1, 30))]
-        spaces.append(EndSpace.from_table(table_from_adjacent(adjacent, depth), depth, 3))
+        spaces.append(EndSpace(depth, 3, tuple(adjacent)))
     outcomes = set()
     for es in spaces:
         for K in range(1, es.depth + 1):

@@ -132,14 +132,6 @@ def test_truncation_interior():
         t.trunc.interior(-1)
 
 
-def test_truncation_sphere_must_match_levels():
-    g = gen_kary(2, 3).graph
-    with pytest.raises(InputError):
-        Truncation(graph=g, depth=3, trunc_sphere=frozenset({0}))
-    with pytest.raises(InputError):
-        Truncation(graph=g, depth=3, trunc_sphere=frozenset())
-
-
 def random_connected_graph(rng, n, mu):
     """Random spanning tree plus extra edges, every degree at most mu."""
     adj = [set() for _ in range(n)]

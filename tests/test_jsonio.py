@@ -145,7 +145,7 @@ def test_dot_and_csv(tmp_path):
     path = tmp_path / "t.csv"
     jsonio.save_gromov_csv(path, enumerate_ends(gen_path(3)))  # one ray, depth 3
     assert path.read_text() == "ray,0\n0,3\n"
-    jsonio.save_gromov_csv(path, EndSpace.from_table([[3, 1], [1, 3]], 3, 3))
+    jsonio.save_gromov_csv(path, EndSpace(3, 3, (1,)))
     assert path.read_text() == "ray,0,1\n0,3,1\n1,1,3\n"
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "ray,0,1"
